@@ -1,28 +1,23 @@
-"""Hot-path engine gate: the access-engine matrix, speed + identity.
+"""Hot-path engine gate: batched vs the per-line oracle, speed + identity.
 
-The non-oracle access engines (``batched`` fused loops, the ``columnar``
-numpy/C batch kernels) exist purely to make the simulator faster; they
-must not change a single simulated counter.  This gate drives identical
-access traces through every engine on identically built machines and
-asserts the full architectural state — per-node read/write lines,
-per-tag write attribution, private-cache and LLC stats, QPI crossings,
-and thread cycles — comes out *bit-identical* to the per-line oracle,
-while each engine clears its recorded speed floor.
+The ``batched`` engine's fused loops exist purely to make the simulator
+faster; they must not change a single simulated counter.  This gate
+drives identical access traces through both engines on identically
+built machines and asserts the full architectural state — per-node
+read/write lines, per-tag write attribution, private-cache and LLC
+stats, QPI crossings, and thread cycles — comes out *bit-identical* to
+the per-line oracle, while the batched engine clears its recorded speed
+floor on every scenario.
 
 Results land in ``BENCH_hotpath.json`` at the repo root (uploaded as a
-CI artifact).  The headline number is the columnar engine on the
+CI artifact).  The headline number is the batched engine on the
 L2-resident hot-page scenario: it isolates raw engine overhead the way
 lmbench isolates syscall cost.  Every speedup is a within-run ratio
 (oracle and candidate timed back to back in the same process) because
 absolute wall times on shared CI runners are too noisy to gate on.
-
-Floors:
-
-* ``batched`` — per-scenario floors at 80% of the recorded speedup
-  (a >20% regression on any scenario fails the gate).
-* ``columnar`` — a flat 10x floor on every scenario, enforced when the
-  compiled C kernel is available (the interpreted numpy fallback stays
-  counter-identical but is not speed-gated).
+The floors sit at 80% of the recorded speedup, so a >20% regression on
+any scenario fails the gate.  Whole-run engine identity is a tier-1
+test (``tests/integration/test_engine_whole_run.py``).
 """
 
 import json
@@ -30,18 +25,13 @@ import os
 import random
 import time
 
-import pytest
-
 from repro.config import DEFAULT_LATENCY, DEFAULT_SCALE_CONFIG, PAGE_SIZE
-from repro.core.platform import EmulationMode, HybridMemoryPlatform
 from repro.kernel.vm import Kernel
-from repro.machine.engine import resolve_engine
 from repro.machine.topology import (
     DRAM_NODE,
     PCM_NODE,
     emulation_platform_spec,
 )
-from repro.workloads.registry import benchmark_factory
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_hotpath.json")
@@ -60,12 +50,8 @@ BATCHED_FLOORS = {
     "mixed": 1.25,
 }
 
-#: The columnar engine's flat floor, every scenario, when the compiled
-#: C kernel is loaded.
-COLUMNAR_FLOOR = 10.0
-
-#: Conservative CI floor for the headline (columnar hot_page) number.
-HEADLINE_FLOOR = COLUMNAR_FLOOR
+#: The headline is batched ``hot_page``, gated by its own floor.
+HEADLINE_FLOOR = BATCHED_FLOORS["hot_page"]
 
 
 # ----------------------------------------------------------------------
@@ -175,30 +161,18 @@ def _drive(ops, engine, repeats=3):
         for vaddr, size, is_write in ops:
             access(vaddr, size, is_write)
         best = min(best, time.perf_counter() - start)
-        # The snapshot flushes any deferred queue outside the timed
-        # region; the bulk of the columnar flush cost was already paid
-        # by threshold flushes inside the loop.
         snapshot = _snapshot(machine, thread)
     return best, snapshot
 
 
-def _columnar_is_native():
-    return resolve_engine("columnar").kernel_name == "native"
-
-
 def test_engine_matrix_identical_and_faster():
-    """The gate: bit-identical counters per engine, recorded speedups."""
-    engines = ["batched", "columnar"]
+    """The gate: bit-identical counters, recorded batched speedups."""
     report = {
         "benchmark": "hotpath",
         "headline_scenario": "hot_page",
-        "headline_engine": "columnar",
+        "headline_engine": "batched",
         "headline_floor": HEADLINE_FLOOR,
-        "engines": {
-            "reference": "perline",
-            "measured": engines,
-            "columnar_kernel": resolve_engine("columnar").kernel_name,
-        },
+        "engines": {"reference": "perline", "measured": ["batched"]},
         "scenarios": {},
     }
     for name, build_trace in SCENARIOS:
@@ -206,68 +180,29 @@ def test_engine_matrix_identical_and_faster():
         baseline_seconds, oracle_state = _drive(ops, "perline")
         lines = sum((vaddr + size - 1) // 64 - vaddr // 64 + 1
                     for vaddr, size, _ in ops)
-        entry = {
+        engine_seconds, engine_state = _drive(ops, "batched")
+        assert engine_state == oracle_state, (
+            f"{name}: batched engine diverged from the per-line oracle")
+        report["scenarios"][name] = {
             "ops": len(ops),
             "lines": lines,
             "per_line_seconds": round(baseline_seconds, 6),
             "per_line_us_per_line": round(baseline_seconds / lines * 1e6, 4),
-        }
-        for engine in engines:
-            engine_seconds, engine_state = _drive(ops, engine)
-            assert engine_state == oracle_state, (
-                f"{name}: {engine} engine diverged from the per-line "
-                f"oracle")
-            entry[engine] = {
+            "batched": {
                 "seconds": round(engine_seconds, 6),
                 "us_per_line": round(engine_seconds / lines * 1e6, 4),
                 "speedup": round(baseline_seconds / engine_seconds, 3),
                 "identical_counters": True,
-            }
-        entry["batched"]["floor"] = BATCHED_FLOORS[name]
-        entry["columnar"]["floor"] = COLUMNAR_FLOOR
-        report["scenarios"][name] = entry
-    headline = report["scenarios"]["hot_page"]["columnar"]["speedup"]
+                "floor": BATCHED_FLOORS[name],
+            },
+        }
+    headline = report["scenarios"]["hot_page"]["batched"]["speedup"]
     report["headline_speedup"] = headline
     with open(BENCH_PATH, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    speed_gate_columnar = _columnar_is_native()
     for name, entry in report["scenarios"].items():
         batched = entry["batched"]["speedup"]
         assert batched >= BATCHED_FLOORS[name], (
             f"{name}: batched speedup {batched:.2f}x regressed below the "
             f"{BATCHED_FLOORS[name]}x floor (recorded * 0.8)")
-        columnar = entry["columnar"]["speedup"]
-        if speed_gate_columnar:
-            assert columnar >= COLUMNAR_FLOOR, (
-                f"{name}: columnar speedup {columnar:.2f}x below the "
-                f"{COLUMNAR_FLOOR}x floor")
-        else:
-            assert columnar > 0, name  # identity still proven above
-
-
-def _run_fop(engine):
-    """One full platform run on the given access engine."""
-    platform = HybridMemoryPlatform(mode=EmulationMode.EMULATION,
-                                    engine=engine)
-    factory = benchmark_factory("fop")
-
-    def make_app(index):
-        return factory(index, dataset="default")
-
-    return platform.run(make_app, collector="KG-W", instances=1)
-
-
-@pytest.mark.parametrize("engine", ["batched", "columnar"])
-def test_platform_results_identical_to_per_line_engine(engine):
-    """End-to-end: a whole measured run matches the per-line oracle."""
-    baseline = _run_fop("perline")
-    candidate = _run_fop(engine)
-    assert candidate.pcm_write_lines == baseline.pcm_write_lines
-    assert candidate.dram_write_lines == baseline.dram_write_lines
-    assert candidate.per_tag_pcm_writes == baseline.per_tag_pcm_writes
-    assert candidate.per_tag_dram_writes == baseline.per_tag_dram_writes
-    assert candidate.node_counters == baseline.node_counters
-    assert candidate.llc_stats == baseline.llc_stats
-    assert candidate.qpi_crossings == baseline.qpi_crossings
-    assert candidate.elapsed_seconds == baseline.elapsed_seconds

@@ -17,7 +17,6 @@ from repro.analyze.checkers.counters import CounterDisciplineChecker
 from repro.analyze.checkers.determinism import DeterminismChecker
 from repro.analyze.checkers.hooks import HookCoverageChecker
 from repro.analyze.checkers.layering import LayeringChecker
-from repro.analyze.checkers.parity import EngineParityChecker
 from repro.analyze.checkers.races import RacePatternChecker
 from repro.analyze.checkers.spans import SpanBalanceChecker
 
@@ -29,7 +28,6 @@ ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     RacePatternChecker,
     AsyncSafetyChecker,
     SpanBalanceChecker,
-    EngineParityChecker,
 )
 
 

@@ -27,8 +27,6 @@ Policy pieces:
   FAULTS / SANITIZE hook pair (``H001``).
 * **async_packages** — packages whose ``async def`` bodies must never
   (transitively) reach blocking calls (``A001``/``A002``).
-* **parity_groups** — named groups of engine classes whose public
-  method surfaces must stay in lock-step (``P001``/``P002``).
 * **test_paths / test_select** — extra trees the CLI lints with a
   restricted rule set (D-rules: unseeded RNG and wall-clock use in
   tests is a flakiness source).
@@ -86,13 +84,12 @@ DEFAULT_COUNTERS: Dict[str, List[str]] = {
     "read_lines": ["MemoryNode"],
     "writes_by_tag": ["MemoryNode"],
     "migration_write_lines": ["MemoryNode"],
-    # Cache accounting (CacheLevel owns its CacheStats; the columnar
-    # subclass keeps the same ownership over the matrix state).
-    "hits": ["CacheStats", "CacheLevel", "ColumnarCacheLevel"],
-    "misses": ["CacheStats", "CacheLevel", "ColumnarCacheLevel"],
-    "evictions": ["CacheStats", "CacheLevel", "ColumnarCacheLevel"],
-    "dirty_evictions": ["CacheStats", "CacheLevel", "ColumnarCacheLevel"],
-    "flushed_dirty": ["CacheLevel", "ColumnarCacheLevel"],
+    # Cache accounting (CacheLevel owns its CacheStats).
+    "hits": ["CacheStats", "CacheLevel"],
+    "misses": ["CacheStats", "CacheLevel"],
+    "evictions": ["CacheStats", "CacheLevel"],
+    "dirty_evictions": ["CacheStats", "CacheLevel"],
+    "flushed_dirty": ["CacheLevel"],
     # Machine-level traffic.
     "qpi_crossings": ["NumaMachine"],
     # Kernel syscall/fault counters.
@@ -121,7 +118,6 @@ DEFAULT_COUNTERS: Dict[str, List[str]] = {
 DEFAULT_COUNTER_MUTATORS: Tuple[str, ...] = (
     "repro.machine.numa::CorePath.access_line",
     "repro.machine.numa::CorePath.access_run",
-    "repro.machine.colengine::ColumnarCorePath.flush_pending",
 )
 
 #: Functions allowed to touch another object's private attributes —
@@ -148,8 +144,6 @@ DEFAULT_HOOK_SITES: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
      ("faults", "sanitize", "trace")),
     ("repro.machine.numa", "NumaMachine.flush_all",
      ("faults", "sanitize", "trace")),
-    ("repro.machine.colengine", "ColumnarCorePath.flush_pending",
-     ("faults",)),
     ("repro.core.collectors.base", "Collector.minor_collect", ("trace",)),
     ("repro.core.collectors.base", "Collector.mark_and_sweep", ("trace",)),
     ("repro.core.monitor", "WriteRateMonitor.sample", ("faults", "trace")),
@@ -167,24 +161,6 @@ DEFAULT_HOOK_SITES: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
 #: request (PR 8's phantom-SIGTERM bug came from exactly this class of
 #: mistake).
 DEFAULT_ASYNC_PACKAGES: Tuple[str, ...] = ("repro.serve",)
-
-#: Engine API-parity groups: each group names classes (by
-#: ``module::QualName``) whose *public* method names and arities must
-#: match, so the perline/batched/columnar/jit engines cannot drift as
-#: new engines land.  CacheStats is the shared stats struct and the
-#: perline CacheLevel is the reference; ColumnarCacheLevel overrides
-#: its whole surface.  CorePath (perline+batched fused loops) pairs
-#: with ColumnarCorePath.
-DEFAULT_PARITY_GROUPS: Dict[str, List[str]] = {
-    "engine-cache": [
-        "repro.machine.cache::CacheLevel",
-        "repro.machine.colcache::ColumnarCacheLevel",
-    ],
-    "engine-core": [
-        "repro.machine.numa::CorePath",
-        "repro.machine.colengine::ColumnarCorePath",
-    ],
-}
 
 #: Extra trees linted with the restricted ``test_select`` rule set.
 DEFAULT_TEST_PATHS: Tuple[str, ...] = ("tests", "benchmarks")
@@ -223,9 +199,6 @@ class LintConfig:
                                  for m, q, h in DEFAULT_HOOK_SITES])
     async_packages: List[str] = field(
         default_factory=lambda: list(DEFAULT_ASYNC_PACKAGES))
-    parity_groups: Dict[str, List[str]] = field(
-        default_factory=lambda: {k: list(v)
-                                 for k, v in DEFAULT_PARITY_GROUPS.items()})
     test_paths: List[str] = field(
         default_factory=lambda: list(DEFAULT_TEST_PATHS))
     test_select: List[str] = field(
@@ -322,11 +295,6 @@ def merge_table(config: LintConfig, table: Dict[str, object]) -> LintConfig:
         config.counters = {str(k): [str(c) for c in v]
                            for k, v in counters.items()
                            if isinstance(v, list)}
-    parity = table.get("parity-groups")
-    if isinstance(parity, dict):
-        config.parity_groups = {str(k): [str(c) for c in v]
-                                for k, v in parity.items()
-                                if isinstance(v, list)}
     hooks = table.get("hook-sites")
     if isinstance(hooks, list):
         parsed = []

@@ -39,7 +39,7 @@ from repro.analyze.engine import ModuleUnderAnalysis
 
 @dataclass(frozen=True)
 class ParamShape:
-    """Callable surface of one function, for API-parity comparison."""
+    """Callable surface of one function: parameter counts and kinds."""
 
     required: int
     optional: int

@@ -28,7 +28,7 @@ from repro.config import DEFAULT_SCALE_CONFIG, RECOMMENDED_WRITE_RATE_MBS
 from repro.core.collectors import ALL_COLLECTOR_NAMES
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
 from repro.kernel.placement import placement_names
-from repro.machine.engine import engine_names
+from repro.machine.engine import describe_engines, engine_names
 from repro.observability import (
     METRICS,
     PROFILER,
@@ -54,8 +54,8 @@ def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
                         choices=["emulation", "simulation"])
     parser.add_argument("--engine", default=None,
                         choices=list(engine_names()),
-                        help="cache access engine (default: "
-                             "$REPRO_ENGINE or 'batched')")
+                        help=f"cache access engine; {describe_engines()} "
+                             "(default: $REPRO_ENGINE or 'batched')")
     parser.add_argument("--placement", default=None,
                         choices=list(placement_names()),
                         help="kernel page-placement policy (default: "
@@ -165,10 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--seed", type=int, default=0,
                           help="base RNG seed (trial i uses seed+i)")
     sanitize.add_argument("--engine", default="batched",
-                          help="engine under test: perline, batched, "
-                               "columnar, jit, or 'oracle' (alias for "
-                               "perline); default: batched")
+                          choices=[*engine_names(), "oracle"],
+                          help="engine under test ('oracle' is an alias "
+                               "for perline; default: batched)")
     sanitize.add_argument("--reference", default="perline",
+                          choices=[*engine_names(), "oracle"],
                           help="reference engine to diff against "
                                "(default: perline)")
     sanitize.add_argument("--placement", default="static",
@@ -245,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint", help="run the project's static-analysis checkers "
                      "(layering, determinism, counter-discipline, "
                      "hook-coverage, race-pattern, async-safety, "
-                     "span-balance, engine-parity)")
+                     "span-balance)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to scan (default: "
                            "the [tool.repro-lint] paths, i.e. src/repro)")

@@ -90,9 +90,6 @@ class WriteRateMonitor:
                 node_migrations = list(
                     self.samples[-1].node_migration_writes)
             else:
-                # Deferred engines park write-backs in their queues;
-                # flush so the sampled counters are sync-point exact.
-                machine.sync_engines()
                 node_writes = [node.write_lines for node in machine.nodes]
                 node_migrations = [node.migration_write_lines
                                    for node in machine.nodes]

@@ -178,8 +178,8 @@ class CheckpointMismatch(ValueError):
     """A checkpoint was written under a different engine/placement.
 
     Resuming would merge counters from two incompatible configurations
-    (e.g. a sweep checkpointed under ``$REPRO_ENGINE=columnar`` resumed
-    under ``perline``) — bit-identical by contract, but a mismatch here
+    (e.g. a sweep checkpointed under ``$REPRO_ENGINE=perline`` resumed
+    under ``batched``) — bit-identical by contract, but a mismatch here
     means someone changed the environment mid-sweep, which is exactly
     the silent-drift scenario checkpoints exist to prevent.
     """

@@ -28,13 +28,12 @@ Selection mirrors the access-engine registry: explicit ``placement=``
 arguments (``repro run --placement ...``) win over the
 ``REPRO_PLACEMENT`` environment variable, which wins over ``static``.
 
-Engine-identity: policies only act at synchronisation points.  Hot-page
-counters are fed from ``machine.write_listeners`` (bulk write paths
-degrade to per-line delivery when listeners are present, so every
-engine reports the same per-page counts), and migrations happen inside
-:meth:`Kernel.placement_tick` / :meth:`Kernel.migrate_page`, which run
-``sync_engines()`` first — never from inside an access, where the
-batched engines hold cached translations.
+Engine-identity: policies only act between accesses.  Hot-page counters
+are fed from ``machine.write_listeners``, which every engine calls once
+per write-back, and migrations happen inside
+:meth:`Kernel.placement_tick` / :meth:`Kernel.migrate_page` — never
+from inside an access, where the batched engine holds a cached
+translation.
 """
 
 from __future__ import annotations

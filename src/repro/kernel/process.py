@@ -150,179 +150,6 @@ class PerLineSimThread(SimThread):
         return self.access_per_line(vaddr, size, is_write)
 
 
-class ColumnarSimThread(SimThread):
-    """Thread for the columnar engines: accesses enqueue, cycles defer.
-
-    ``ColumnarCorePath`` queues runs instead of executing them, so the
-    per-access returns are zero and real cycle counts only exist after
-    a queue flush (the path credits ``_cycles_v`` directly).  Reading
-    ``cycles`` therefore syncs this thread's queue first; the hot-path
-    overrides below are the base implementations minus the
-    ``self.cycles`` read-modify-write, which would otherwise trigger
-    that sync on every access.
-    """
-
-    def __init__(self, thread_id: int, process: "Process",
-                 core_path: "CorePath") -> None:
-        from repro.machine.colengine import (
-            MAX_PENDING_LINES,
-            MAX_PENDING_RUNS,
-            ColumnarCorePath,
-        )
-        if not isinstance(core_path, ColumnarCorePath):
-            raise TypeError("ColumnarSimThread needs a ColumnarCorePath")
-        self._col_path = core_path
-        self._max_runs = MAX_PENDING_RUNS
-        self._max_lines = MAX_PENDING_LINES
-        super().__init__(thread_id, process, core_path)
-        core_path.cycle_sink = self
-        # Both objects live as long as the process; binding them here
-        # saves two attribute loads and a property call per access.
-        self._table = process.page_table
-        self._line_map = process.page_table.line_base_map
-        # True only while this thread's path is the LLC's registered
-        # queue owner; every flush_pending clears it, so a stale True
-        # is impossible and the common case skips the owner handshake.
-        self._owner_hint = False
-
-    @property  # type: ignore[override]
-    def cycles(self) -> int:
-        """Cycles spent so far (syncs this thread's deferred queue)."""
-        self._col_path.flush_pending()
-        return self._cycles_v
-
-    @cycles.setter
-    def cycles(self, value: int) -> None:
-        self._cycles_v = value
-
-    def compute(self, cycles: int) -> None:
-        """Account non-memory work (the latency model's op cost)."""
-        self._cycles_v += cycles
-
-    def access(self, vaddr: int, size: int, is_write: bool) -> int:
-        """Touch ``size`` bytes at ``vaddr``; cycles land at queue flush.
-
-        One body serves both entry points (``access_block`` is an alias):
-        the run loop degenerates to a single iteration for single-line
-        touches, and merging the paths saves the delegation call the
-        base class makes for multi-line accesses.
-        """
-        table = self._table
-        line_map = self._line_map
-        # Inline of ColumnarCorePath._enqueue: the owner steal happens
-        # once up front, every page run is three plain appends, and the
-        # flush threshold is checked once per block (the queue may
-        # overshoot by one block's runs, which only moves the flush
-        # boundary, never a counter).
-        cp = self._col_path
-        if not self._owner_hint:
-            llc = cp._llc
-            if llc.pending_path is not cp:
-                if llc.pending_path is not None:
-                    llc.pending_path.flush_pending()
-                llc.pending_path = cp
-            self._owner_hint = True
-        q_base = cp._q_base
-        q_count = cp._q_count
-        q_write = cp._q_write
-        write_flag = 1 if is_write else 0
-        first = vaddr >> 6
-        last = (vaddr + size - 1) >> 6
-        epoch = table.epoch
-        tlb_vpage = self._tlb_vpage if epoch == self._tlb_epoch else -1
-        tlb_base = self._tlb_base
-        pending = cp._pending_lines
-        while first <= last:
-            vpage = first >> LINES_PER_PAGE_SHIFT
-            if vpage == tlb_vpage:
-                base = tlb_base
-            else:
-                base = line_map.get(vpage)
-                if base is None:
-                    # A serviced fault (lazy policies) continues the
-                    # block with the fresh frame's base; any raise —
-                    # PageFault or frame exhaustion — restores the
-                    # queue and discards the block's cycles, matching
-                    # the oracle's partial-block fault semantics.
-                    try:
-                        base = self.process.kernel.fault_in(
-                            self.process, vpage, self.socket_id,
-                            first << 6)
-                    except Exception:
-                        cp._pending_lines = pending
-                        self._discard_block_cycles(first - (vaddr >> 6))
-                        raise
-                tlb_vpage = vpage
-                tlb_base = base
-            offset = first & LINE_OFFSET_MASK
-            rem = last - first
-            cap = LINE_OFFSET_MASK - offset
-            count = (rem if rem < cap else cap) + 1
-            q_base.append(base + offset)
-            q_count.append(count)
-            q_write.append(write_flag)
-            pending += count
-            first += count
-        cp._pending_lines = pending
-        self._tlb_vpage = tlb_vpage
-        self._tlb_base = tlb_base
-        self._tlb_epoch = epoch
-        if len(q_base) >= self._max_runs or pending >= self._max_lines:
-            cp.flush_pending()
-        return 0
-
-    access_block = access
-
-    def _discard_block_cycles(self, block_lines: int) -> None:
-        """Match the oracle's fault semantics for a partial block.
-
-        The per-line engine keeps a faulting block's pre-fault cache and
-        memory effects but loses its cycles with the exception (the
-        ``self.cycles`` update never runs).  Here those runs sit at the
-        tail of the deferred queue, so: flush everything queued *before*
-        this block normally, then flush the block's own runs and roll
-        their cycle credit back.  Cold path — only ever runs under an
-        imminent :class:`PageFault`.
-        """
-        cp = self._col_path
-        q_base, q_count, q_write = cp._q_base, cp._q_count, cp._q_write
-        n_block = 0
-        stripped = 0
-        while stripped < block_lines:
-            n_block += 1
-            stripped += q_count[-n_block]
-        if not n_block:
-            return
-        split = len(q_base) - n_block
-        blk = (q_base[split:], q_count[split:], q_write[split:])
-        del q_base[split:], q_count[split:], q_write[split:]
-        cp._pending_lines -= block_lines
-        cp.flush_pending()
-        q_base.extend(blk[0])
-        q_count.extend(blk[1])
-        q_write.extend(blk[2])
-        cp._pending_lines = block_lines
-        cp._llc.pending_path = cp
-        before = self._cycles_v
-        cp.flush_pending()
-        self._cycles_v = before
-
-    def access_per_line(self, vaddr: int, size: int, is_write: bool) -> int:
-        """Reference per-line walk (deferred: every line is a 1-run)."""
-        line_map = self.process.page_table.line_base_map
-        access_line = self.core_path.access_line
-        first = vaddr >> 6
-        last = (vaddr + size - 1) >> 6
-        for vline in range(first, last + 1):
-            base = line_map.get(vline >> LINES_PER_PAGE_SHIFT)
-            if base is None:
-                base = self.process.kernel.fault_in(
-                    self.process, vline >> LINES_PER_PAGE_SHIFT,
-                    self.socket_id, vline << 6)
-            access_line(base + (vline & LINE_OFFSET_MASK), is_write)
-        return 0
-
-
 class Process:
     """A managed or native application instance.
 
@@ -350,21 +177,17 @@ class Process:
     def spawn_thread(self, socket_id: Optional[int] = None) -> SimThread:
         """Create a thread bound to ``socket_id`` (default: affinity).
 
-        The thread class follows the machine's access engine: columnar
-        engines defer cycles (``ColumnarSimThread``), the ``perline``
-        engine routes everything through the oracle walk, and the
-        default ``batched`` engine uses the base class.
+        The thread class follows the machine's access engine: the
+        ``perline`` engine routes everything through the oracle walk,
+        and the default ``batched`` engine uses the base class.
         """
         socket = self.affinity_socket if socket_id is None else socket_id
         machine = self.kernel.machine
         core_path = machine.make_core(socket)
         engine = machine.engine
         thread_cls = SimThread
-        if engine is not None:
-            if engine.columnar:
-                thread_cls = ColumnarSimThread
-            elif engine.name == "perline":
-                thread_cls = PerLineSimThread
+        if engine is not None and engine.name == "perline":
+            thread_cls = PerLineSimThread
         thread = thread_cls(self._next_tid, self, core_path)
         self._next_tid += 1
         self.threads.append(thread)

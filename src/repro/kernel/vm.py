@@ -116,10 +116,6 @@ class Kernel:
                 f"unaligned mmap request: vaddr={vaddr:#x} length={length}")
         if not 0 <= node_id < len(self.machine.nodes):
             raise MBindError(f"no such NUMA node: {node_id}")
-        # Deferred-engine barrier: queued runs hold physical line
-        # addresses, so they must execute before the page table or the
-        # frame attribution changes underneath them.
-        self.machine.sync_engines()
         if FAULTS.active is not None:  # fault hook: frame exhaustion etc.
             FAULTS.arrive("kernel.mmap_bind", pid=process.pid, vaddr=vaddr,
                           node=node_id, tag=tag)
@@ -239,9 +235,6 @@ class Kernel:
         """
         if not 0 <= dest_node_id < len(self.machine.nodes):
             raise MBindError(f"no such NUMA node: {dest_node_id}")
-        # Deferred-engine barrier: queued runs may hold physical line
-        # addresses of the frame being replaced.
-        self.machine.sync_engines()
         if FAULTS.active is not None:  # fault hook: die before the copy
             FAULTS.arrive("kernel.migrate", pid=process.pid, vpage=vpage,
                           dest=dest_node_id)
@@ -295,7 +288,6 @@ class Kernel:
         """
         if not self._tick_policies:
             return
-        self.machine.sync_engines()
         for policy in list(self._tick_policies):
             policy.tick()
         if SANITIZE.active is not None:
@@ -311,9 +303,6 @@ class Kernel:
         if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
             raise MBindError(
                 f"unaligned retag request: vaddr={vaddr:#x} length={length}")
-        # Queued write-backs must land under the tag they were issued
-        # against, not the one this call installs.
-        self.machine.sync_engines()
         page_table = process.page_table
         first_page = vaddr >> PAGE_SHIFT
         for vpage in range(first_page, first_page + (length >> PAGE_SHIFT)):
@@ -337,8 +326,6 @@ class Kernel:
         if vaddr % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
             raise MBindError(
                 f"unaligned munmap request: vaddr={vaddr:#x} length={length}")
-        # Deferred-engine barrier: see mmap_bind.
-        self.machine.sync_engines()
         if FAULTS.active is not None:  # fault hook: mirrors mmap_bind
             FAULTS.arrive("kernel.munmap", pid=process.pid, vaddr=vaddr,
                           length=length)
@@ -369,8 +356,6 @@ class Kernel:
 
     def reclaim_process(self, process: Process) -> None:
         """Tear down a process: free all frames, drop it from the table."""
-        # Deferred-engine barrier: see mmap_bind.
-        self.machine.sync_engines()
         if FAULTS.active is not None:  # fault hook: die mid-teardown
             FAULTS.arrive("kernel.reclaim", pid=process.pid)
         policy = process.placement

@@ -14,10 +14,7 @@ through the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.colengine import ColumnarCorePath
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -58,10 +55,9 @@ def validate_geometry(size: int, assoc: int, line_size: int,
                       name: str) -> int:
     """Validate a cache geometry; returns the number of sets.
 
-    Shared by the per-line-object and columnar cache constructors, so a
-    zero-way or zero-set configuration fails the same way everywhere
-    (one used to fall into a ``% 0`` or allocate a cache that could
-    never hold a line) instead of surfacing later as a counter bug.
+    A zero-way or zero-set configuration fails here (one used to fall
+    into a ``% 0`` or allocate a cache that could never hold a line)
+    instead of surfacing later as a counter bug.
     """
     if size <= 0:
         raise ValueError(f"{name}: cache size must be positive, got {size}")
@@ -120,11 +116,6 @@ class CacheLevel:
         #: law can account for every line that reached memory: node
         #: writes == dirty evictions + flush write-backs).
         self.flushed_dirty = 0
-        #: Core path with queued deferred runs targeting this level.
-        #: Always ``None`` for the per-line engines; the columnar engine
-        #: uses it as its shared-LLC serialisation token, and
-        #: ``NumaMachine.sync_engines`` flushes through it.
-        self.pending_path: Optional["ColumnarCorePath"] = None
         # One ordered dict per set: tag -> dirty flag.
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
 
@@ -249,11 +240,7 @@ class CacheLevel:
         return lines
 
     def set_occupancy(self) -> List[int]:
-        """Valid-line count per set (the sanitizer's overflow law).
-
-        Engine-neutral: the columnar cache exposes the same method, so
-        invariant checks never reach into a representation directly.
-        """
+        """Valid-line count per set (the sanitizer's overflow law)."""
         return [len(cache_set) for cache_set in self._sets]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

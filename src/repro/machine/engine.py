@@ -1,26 +1,21 @@
-"""Access-engine registry: per-line oracle, batched, columnar, jit.
+"""Access-engine registry: the per-line oracle and the batched engine.
 
-The simulator has four interchangeable *access engines* — ways of
+The simulator has two interchangeable *access engines* — ways of
 pushing the same access stream through the same cache model with
-bit-identical counters:
+bit-identical counters.  Both are eager: every access updates the
+caches and counters before it returns.
 
 ``perline``
     The per-line oracle: every line goes through
     ``CacheLevel.access`` / ``CorePath.access_line`` individually.
-    Slowest; the differential-fuzz reference.
+    The differential-fuzz reference.
 ``batched``
-    The default dict-based engine: page-runs go through the fused
-    ``access_run`` loops (one Python frame per run).
-``columnar``
-    Cache state in numpy tag/dirty/age matrices; runs are queued and
-    executed by a batch kernel — a small compiled C kernel when a host
-    compiler is available (see :mod:`repro.machine.nativekernel`), else
-    the interpreted reference kernel.
-``jit``
-    The columnar engine with the reference kernel compiled by
-    ``numba.njit``.  Numba is optional; without it this resolves to the
-    columnar engine's kernels (the resolved :class:`Engine` records
-    what actually loaded in ``kernel_name``).
+    The default: page-runs go through the fused ``access_run`` loops
+    (one Python frame per run).
+
+The engine decides only which :class:`~repro.kernel.process.SimThread`
+class ``Process.spawn_thread`` creates; caches and core paths are the
+same objects under both.
 
 Selection: explicit ``engine=`` arguments (``repro run --engine ...``)
 win over the ``REPRO_ENGINE`` environment variable, which wins over the
@@ -33,63 +28,29 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.machine import pykernel
-from repro.machine.cache import CacheLevel
-from repro.machine.colcache import ColumnarCacheLevel
-from repro.machine.colengine import ColumnarCorePath
-from repro.machine.jitkernel import load_jit_kernel
-from repro.machine.nativekernel import KernelFn, load_native_kernel
-from repro.machine.numa import CorePath, NumaMachine, Socket
-
 #: Environment variable consulted when no explicit engine is given.
 ENGINE_ENV = "REPRO_ENGINE"
 #: Registry order is also the CLI help order.
-ENGINE_NAMES: Tuple[str, ...] = ("perline", "batched", "columnar", "jit")
+ENGINE_NAMES: Tuple[str, ...] = ("perline", "batched")
 DEFAULT_ENGINE = "batched"
 
 _DESCRIPTIONS = {
-    "perline": "per-line oracle (dict caches, one access per line)",
-    "batched": "fused per-run dict loops (default)",
-    "columnar": "numpy state matrices + compiled batch kernel",
-    "jit": "columnar state with a numba-compiled kernel",
+    "perline": "per-line oracle, one access per line",
+    "batched": "fused per-run loops",
 }
 
 
 @dataclass(frozen=True)
 class Engine:
-    """A resolved access engine: factories plus provenance.
+    """A resolved access engine.
 
-    ``requested`` is the name asked for; ``kernel_name`` records which
-    kernel backend actually loaded (``jit`` without numba resolves to
-    the columnar engine's ``native`` or ``python`` kernel).
+    ``kernel_name`` is always ``"none"``: no engine has a separate
+    kernel backend.  It stays because the end-to-end benchmark
+    (``benchmarks/e2e``) reports it next to the engine name.
     """
 
     name: str
-    requested: str
-    description: str
-    columnar: bool
-    kernel_name: str
-    kernel: Optional[KernelFn]
-
-    def make_cache(self, size: int, assoc: int, line_size: int = 64,
-                   name: str = "cache") -> CacheLevel:
-        """Construct a cache level in this engine's representation."""
-        if self.columnar:
-            return ColumnarCacheLevel(size, assoc, line_size, name)
-        return CacheLevel(size, assoc, line_size, name)
-
-    def make_core(self, machine: NumaMachine, socket: Socket,
-                  private: Optional[CacheLevel]) -> CorePath:
-        """Construct the per-context access path for this engine."""
-        if not self.columnar:
-            return CorePath(machine, socket, private)
-        if private is not None and not isinstance(private,
-                                                  ColumnarCacheLevel):
-            raise TypeError(
-                f"engine {self.name!r} needs columnar private caches; "
-                f"got {type(private).__name__}")
-        assert self.kernel is not None
-        return ColumnarCorePath(machine, socket, private, self.kernel)
+    kernel_name: str = "none"
 
 
 def engine_names() -> Tuple[str, ...]:
@@ -103,35 +64,10 @@ def describe_engines() -> str:
 
 
 def resolve_engine(name: Optional[str] = None) -> Engine:
-    """Resolve an engine name (or ``$REPRO_ENGINE``, or the default).
-
-    Always succeeds for registered names: optional backends degrade —
-    ``jit`` without numba and ``columnar`` without a C compiler both
-    fall back along the kernel chain numba -> native C -> interpreted,
-    changing only speed, never counters.
-    """
+    """Resolve an engine name (or ``$REPRO_ENGINE``, or the default)."""
     requested = name or os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
     if requested not in ENGINE_NAMES:
         raise ValueError(
             f"unknown engine {requested!r}; choose from "
             f"{', '.join(ENGINE_NAMES)}")
-    if requested in ("perline", "batched"):
-        return Engine(name=requested, requested=requested,
-                      description=_DESCRIPTIONS[requested],
-                      columnar=False, kernel_name="none", kernel=None)
-    kernel: Optional[KernelFn] = None
-    kernel_name = "python"
-    if requested == "jit":
-        kernel = load_jit_kernel()
-        if kernel is not None:
-            kernel_name = "numba"
-    if kernel is None:
-        kernel = load_native_kernel()
-        if kernel is not None:
-            kernel_name = "native"
-    if kernel is None:
-        kernel = pykernel.run_batch
-        kernel_name = "python"
-    return Engine(name=requested, requested=requested,
-                  description=_DESCRIPTIONS[requested],
-                  columnar=True, kernel_name=kernel_name, kernel=kernel)
+    return Engine(name=requested)

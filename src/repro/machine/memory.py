@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-import numpy as np
-
 from repro.config import LINE_SIZE, PAGE_SHIFT, PAGE_SIZE
 
 #: Bits reserved for the node id in physical addresses.  Physical
@@ -125,39 +123,6 @@ class MemoryNode:
         tag = self.tag_of_line(line)
         if tag is not None:
             self.writes_by_tag[tag] = self.writes_by_tag.get(tag, 0) + 1
-
-    def record_writes(self, lines: "np.ndarray") -> None:
-        """Bulk :meth:`record_write` for an int64 array of this node's lines.
-
-        Counter-identical to calling :meth:`record_write` per line; the
-        tag attribution groups by physical frame so a run of writes to
-        one tagged page costs one dict update, not one per line.
-        """
-        count = int(lines.size)
-        if not count:
-            return
-        self.write_lines += count
-        if self._page_tags:
-            frame_mask = (1 << (NODE_SHIFT - PAGE_SHIFT)) - 1
-            frames = ((lines << 6) >> PAGE_SHIFT) & frame_mask
-            writes_by_tag = self.writes_by_tag
-            if int(frames.max()) <= self.total_frames:
-                # Frames from the allocator are dense small integers, so
-                # a counting pass beats np.unique's sort.
-                per_frame = np.bincount(frames)
-                for frame in np.nonzero(per_frame)[0].tolist():
-                    tag = self._page_tags.get(frame)
-                    if tag is not None:
-                        writes_by_tag[tag] = (writes_by_tag.get(tag, 0)
-                                              + int(per_frame[frame]))
-            else:  # corrupted / synthetic lines: don't size a bincount
-                unique, per_frame = np.unique(frames, return_counts=True)
-                for frame, frame_count in zip(unique.tolist(),
-                                              per_frame.tolist()):
-                    tag = self._page_tags.get(frame)
-                    if tag is not None:
-                        writes_by_tag[tag] = (writes_by_tag.get(tag, 0)
-                                              + frame_count)
 
     def record_migration_write(self, line: int) -> None:
         """Count one page-migration copy line landing on this node.

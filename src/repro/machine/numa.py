@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.config import LatencyModel
 from repro.faults.plan import FAULTS
 from repro.machine.cache import CacheLevel
-from repro.machine.memory import NODE_LINE_SHIFT, MemoryNode, node_of_line
+from repro.machine.memory import MemoryNode, node_of_line
 from repro.observability.trace import TRACER
 from repro.sanitize.invariants import SANITIZE
 
@@ -244,7 +242,7 @@ class NumaMachine:
         self._core_caches: Dict[int, int] = {}
         self.private_cache_factory: Optional[Callable[[], CacheLevel]] = None
         #: The access engine this machine was built with (set by
-        #: ``MachineSpec.build``); ``None`` means plain per-line paths.
+        #: ``MachineSpec.build``); ``None`` means the batched default.
         self.engine: Optional["Engine"] = None
 
     def memory_write(self, line: int) -> None:
@@ -267,55 +265,15 @@ class NumaMachine:
         for listener in self.write_listeners:
             listener(line)
 
-    def memory_write_bulk(self, lines: np.ndarray) -> None:
-        """Route a batch of write-backs (int64 line addresses, in order).
-
-        With write listeners subscribed this degrades to the per-line
-        path so listeners observe every line in eviction order; without
-        them the count/attribution updates happen per node in bulk.
-        """
-        if self.write_listeners:
-            for line in lines.tolist():
-                self.memory_write(line)
-            return
-        node_ids = lines >> NODE_LINE_SHIFT
-        per_node = np.bincount(node_ids, minlength=len(self.nodes))
-        single = int(np.argmax(per_node))
-        if int(per_node[single]) == lines.size:
-            # Common case: every victim lands on one node.
-            self.nodes[single].record_writes(lines)
-            return
-        for node_id, node_count in enumerate(per_node.tolist()):
-            if node_count:
-                self.nodes[node_id].record_writes(
-                    lines[node_ids == node_id])
-
-    def sync_engines(self) -> None:
-        """Flush every deferred-access queue (no-op for eager engines).
-
-        Must run before anything observes or remaps machine state:
-        counter reads, invariant checks, cache flushes, page-table
-        changes.  The columnar engine parks queued runs on each LLC's
-        ``pending_path`` token; executing them here makes all counters
-        exactly what the per-line engine would have produced.
-        """
-        for socket in self.sockets:
-            pending = socket.llc.pending_path
-            if pending is not None:
-                pending.flush_pending()
-
     def make_core(self, socket_id: int) -> CorePath:
         """Create an access path for a context bound to ``socket_id``."""
         socket = self.sockets[socket_id]
         private = (self.private_cache_factory()
                    if self.private_cache_factory is not None else None)
-        if self.engine is not None:
-            return self.engine.make_core(self, socket, private)
         return CorePath(self, socket, private)
 
     def flush_all(self, core_paths: List[CorePath]) -> None:
         """Flush private caches and every LLC out to memory."""
-        self.sync_engines()
         if FAULTS.active is not None:  # fault hook: die before the drain
             FAULTS.arrive("machine.flush_all", paths=len(core_paths))
         # Span so the drain's write-backs are attributed to the flush
@@ -333,8 +291,6 @@ class NumaMachine:
             SANITIZE.machine_op(self, "flush_all")
 
     def reset_counters(self) -> None:
-        # Queued accesses were issued before the reset; land them first.
-        self.sync_engines()
         for node in self.nodes:
             node.reset_counters()
         self.qpi_crossings = 0
@@ -345,7 +301,6 @@ class NumaMachine:
 
     def node_writes(self, node_id: int) -> int:
         """Lines written to ``node_id`` since the last reset."""
-        self.sync_engines()
         return self.nodes[node_id].write_lines
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

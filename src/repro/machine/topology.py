@@ -26,6 +26,7 @@ from repro.config import (
     LatencyModel,
     ScaleConfig,
 )
+from repro.machine.cache import CacheLevel
 from repro.machine.engine import Engine, resolve_engine
 from repro.machine.memory import MemoryNode
 from repro.machine.numa import NumaMachine, Socket
@@ -55,17 +56,16 @@ class MachineSpec:
 
         ``engine`` selects the access engine (name or resolved
         :class:`Engine`); ``None`` honours ``$REPRO_ENGINE`` and falls
-        back to the default.  The engine decides the cache
-        representation and the per-context access path; counters are
-        bit-identical across all of them.
+        back to the default.  The engine decides which thread class
+        drives the caches; counters are bit-identical across engines.
         """
         resolved = engine if isinstance(engine, Engine) \
             else resolve_engine(engine)
         kinds = {DRAM_NODE: "DRAM", PCM_NODE: "PCM"}
         built = []
         for socket_id in range(self.sockets):
-            llc = resolved.make_cache(self.llc_size, self.llc_assoc,
-                                      LINE_SIZE, name=f"LLC{socket_id}")
+            llc = CacheLevel(self.llc_size, self.llc_assoc, LINE_SIZE,
+                             name=f"LLC{socket_id}")
             memory = MemoryNode(socket_id, self.node_capacity,
                                 kinds.get(socket_id, "DRAM"))
             built.append(Socket(socket_id, llc, memory,
@@ -75,7 +75,7 @@ class MachineSpec:
         machine.engine = resolved
         if self.l2_size:
             l2_size, l2_assoc = self.l2_size, self.l2_assoc
-            machine.private_cache_factory = lambda: resolved.make_cache(
+            machine.private_cache_factory = lambda: CacheLevel(
                 l2_size, l2_assoc, LINE_SIZE, name="L2")
         return machine
 

@@ -232,7 +232,7 @@ class TraceReplayer:
     :func:`repro.machine.engine.engine_names`): the machine is built
     with that engine and accesses are issued through the plain
     ``thread.access`` entry point, so each engine's real thread class
-    (batched, per-line oracle, columnar, jit) handles them exactly as
+    (batched or per-line oracle) handles them exactly as
     production code would.  ``"oracle"`` is accepted as an alias for
     ``"perline"``.  Everything else (kernel calls, drains, flushes) is
     engine-independent and must leave identical state.
@@ -620,38 +620,22 @@ def planted_bug(name: str):
         write-conservation law can catch it.
     """
     if name == "short-block":
-        from repro.kernel.process import ColumnarSimThread
         original_block = SimThread.access_block
-        original_col = ColumnarSimThread.access
 
-        def make_buggy(original):
-            def buggy_block(self, vaddr: int, size: int,
-                            is_write: bool) -> int:
-                last_line_start = ((vaddr + size - 1) >> 6) << 6
-                if last_line_start > vaddr:
-                    size = last_line_start - vaddr  # drop the trailing line
-                return original(self, vaddr, size, is_write)
-            return buggy_block
+        def buggy_block(self, vaddr: int, size: int, is_write: bool) -> int:
+            last_line_start = ((vaddr + size - 1) >> 6) << 6
+            if last_line_start > vaddr:
+                size = last_line_start - vaddr  # drop the trailing line
+            return original_block(self, vaddr, size, is_write)
 
-        SimThread.access_block = make_buggy(  # type: ignore[method-assign]
-            original_block)
-        # The columnar thread's merged access handles multi-line blocks
-        # itself (access_block is an alias), so both entry points get
-        # the same wrapped body.
-        ColumnarSimThread.access = make_buggy(  # type: ignore[method-assign]
-            original_col)
-        ColumnarSimThread.access_block = (  # type: ignore[method-assign]
-            ColumnarSimThread.access)
+        SimThread.access_block = buggy_block  # type: ignore[method-assign]
         try:
             yield
         finally:
             SimThread.access_block = original_block  # type: ignore[method-assign]
-            ColumnarSimThread.access = original_col  # type: ignore[method-assign]
-            ColumnarSimThread.access_block = original_col  # type: ignore[method-assign]
     elif name == "lost-writeback":
         from repro.machine.numa import NumaMachine
         original_write = NumaMachine.memory_write
-        original_bulk = NumaMachine.memory_write_bulk
 
         def buggy_write(self, line: int) -> None:
             count = getattr(self, "_lost_writeback_count", 0) + 1
@@ -660,21 +644,11 @@ def planted_bug(name: str):
                 return  # the write never reaches the node counters
             original_write(self, line)
 
-        def buggy_bulk(self, lines) -> None:
-            # Route the batch through the per-line path so the same
-            # 1-in-5 drops happen regardless of engine: the drop
-            # counter is per machine and victims arrive in eviction
-            # order either way.
-            for line in lines.tolist():
-                buggy_write(self, line)
-
         NumaMachine.memory_write = buggy_write  # type: ignore[method-assign]
-        NumaMachine.memory_write_bulk = buggy_bulk  # type: ignore[method-assign]
         try:
             yield
         finally:
             NumaMachine.memory_write = original_write  # type: ignore[method-assign]
-            NumaMachine.memory_write_bulk = original_bulk  # type: ignore[method-assign]
     else:
         raise ValueError(
             f"unknown planted bug {name!r}; choose from {PLANTED_BUGS}")

@@ -193,9 +193,6 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def check_machine(self, machine, site: str = "machine") -> None:
         """Write/read conservation plus cache accounting sanity."""
-        # Deferred engines park accesses in queues; the laws below only
-        # hold over counters that reflect every issued access.
-        machine.sync_engines()
         self.checks_run += 1
         base = self._baseline(machine)
         writes = sum(n.write_lines for n in machine.nodes) \

@@ -120,23 +120,6 @@ class TestPlantedViolations:
         assert finding.key == ("S002::repro.harness.spans_bad::"
                                "discarded:harness.discarded")
 
-    def test_p001_missing_public_method(self, planted_findings):
-        finding = _single(planted_findings, "P001")
-        assert finding.path.endswith("repro/machine/colcache.py")
-        assert finding.line == 8  # the drifting class's def line
-        assert "'access'" in finding.message
-        assert finding.key == ("P001::repro.machine.colcache::"
-                               "ColumnarCacheLevel.access")
-
-    def test_p002_signature_drift(self, planted_findings):
-        finding = _single(planted_findings, "P002")
-        assert finding.path.endswith("repro/machine/colcache.py")
-        assert finding.line == 15  # the deviating method's def line
-        assert "2 required" in finding.message
-        assert "1 required" in finding.message
-        assert finding.key == ("P002::repro.machine.colcache::"
-                               "ColumnarCacheLevel.lookup")
-
     def test_c002_counter_never_incremented(self, planted_findings):
         finding = _single(planted_findings, "C002")
         assert finding.path.endswith("repro/kernel/vm.py")
@@ -148,7 +131,7 @@ class TestPlantedViolations:
         assert set(planted_findings) == {
             "L001", "L002", "D001", "D002", "D003", "D004",
             "C001", "C002", "H001", "RC01",
-            "A001", "A002", "A003", "S001", "S002", "P001", "P002",
+            "A001", "A002", "A003", "S001", "S002",
         }
 
 
@@ -188,13 +171,6 @@ class TestPolicyKnobs:
         config.async_packages = []
         findings = by_rule(run_lint(PLANTED, config=config))
         assert not {"A001", "A002", "A003"} & set(findings)
-
-    def test_parity_group_removal_silences_p_rules(self):
-        from repro.analyze import LintConfig
-        config = LintConfig()
-        config.parity_groups = {}
-        findings = by_rule(run_lint(PLANTED, config=config))
-        assert not {"P001", "P002"} & set(findings)
 
     def test_c003_stale_allowlist_entry(self):
         from repro.analyze import LintConfig

@@ -163,7 +163,7 @@ class TestChangedMode:
 
     def test_focus_walks_a_subset(self, monkeypatch, capsys):
         self._patch_changed(monkeypatch,
-                            ["src/repro/machine/colengine.py"])
+                            ["src/repro/machine/cache.py"])
         code = main(["lint", "--changed", "HEAD", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -205,6 +205,5 @@ class TestExplain:
         out = capsys.readouterr().out
         for rule in ("L001", "L002", "D001", "D002", "D003", "D004",
                      "C001", "C002", "C003", "H001", "RC01",
-                     "A001", "A002", "A003", "S001", "S002",
-                     "P001", "P002"):
+                     "A001", "A002", "A003", "S001", "S002"):
             assert rule in out

@@ -111,16 +111,16 @@ class TestHeaderStamp:
 
     def test_stamp_round_trips(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        store = SweepCheckpoint(path, engine="columnar",
+        store = SweepCheckpoint(path, engine="perline",
                                 placement="migrate")
         store.append(_key(), _result())
-        loader = SweepCheckpoint(path, engine="columnar",
+        loader = SweepCheckpoint(path, engine="perline",
                                  placement="migrate")
         assert list(loader.load()) == [_key()]
 
     def test_engine_mismatch_raises(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        SweepCheckpoint(path, engine="columnar",
+        SweepCheckpoint(path, engine="perline",
                         placement="static").append(_key(), _result())
         with pytest.raises(CheckpointMismatch, match="engine"):
             SweepCheckpoint(path, engine="batched",
@@ -136,7 +136,7 @@ class TestHeaderStamp:
 
     def test_unstamped_loader_accepts_any_header(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        SweepCheckpoint(path, engine="columnar",
+        SweepCheckpoint(path, engine="perline",
                         placement="migrate").append(_key(), _result())
         assert list(SweepCheckpoint(path).load()) == [_key()]
 

@@ -5,10 +5,8 @@ the page table's epoch; it must never serve a stale translation after
 ``munmap``.  ``mmap_bind`` must be all-or-nothing: a mid-range frame
 exhaustion may not leave a half-populated page table or leaked frames.
 
-Every test runs once per access engine: the deferred columnar queue
-holds *physical* line addresses, so ``munmap``/``mmap_bind``/reclaim
-are exactly where a missing engine sync would re-home queued traffic
-or serve a stale translation.
+Every test runs once per access engine: the batched engine's TLB is
+exactly what ``munmap``/``mmap_bind``/reclaim could leave stale.
 """
 
 import pytest
@@ -26,7 +24,7 @@ from repro.machine.topology import (
 BASE = 0x80000
 
 
-@pytest.fixture(params=("perline", "batched", "columnar"))
+@pytest.fixture(params=("perline", "batched"))
 def kernel(request):
     machine = emulation_platform_spec(
         DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build(engine=request.param)

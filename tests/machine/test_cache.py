@@ -19,10 +19,19 @@ class TestConstruction:
 
     @pytest.mark.parametrize("size,assoc,line", [
         (0, 4, 64), (4096, 0, 64), (4096, 4, 0), (4095, 4, 64),
+        (-4096, 4, 64),      # negative size
+        (4096, -2, 64),      # negative ways
+        (4100, 4, 64),       # size not a multiple of line_size
+        (4096, 3, 64),       # lines not divisible by assoc
+        (64, 2, 64),         # one line cannot make a 2-way set
     ])
     def test_invalid_geometry_rejected(self, size, assoc, line):
         with pytest.raises(ValueError):
             CacheLevel(size, assoc, line)
+
+    def test_error_names_the_cache(self):
+        with pytest.raises(ValueError, match="victim-l2"):
+            CacheLevel(0, 4, name="victim-l2")
 
     def test_lines_must_divide_by_assoc(self):
         with pytest.raises(ValueError):
@@ -89,6 +98,15 @@ class TestInstallDirty:
         cache.access(7, False)
         cache.install_dirty(7)
         assert cache.is_dirty(7)
+
+    def test_install_dirty_also_touches_lru(self):
+        cache = make_cache(size=2 * 64, assoc=2)  # one set, two ways
+        cache.access(0, False)
+        cache.access(1, False)
+        cache.install_dirty(0)  # write-back arrival counts as a touch
+        _, victim, victim_dirty = cache.access(2, False)
+        assert victim == 1
+        assert not victim_dirty
 
     def test_install_can_evict(self):
         cache = make_cache(size=2 * 64, assoc=2)

@@ -17,15 +17,15 @@ from repro.machine.engine import (DEFAULT_ENGINE, ENGINE_ENV,
 class TestEnginePrecedence:
     def test_default_when_nothing_set(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine().requested == DEFAULT_ENGINE == "batched"
+        assert resolve_engine().name == DEFAULT_ENGINE == "batched"
 
     def test_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "perline")
-        assert resolve_engine().requested == "perline"
+        assert resolve_engine().name == "perline"
 
     def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "perline")
-        assert resolve_engine("columnar").requested == "columnar"
+        monkeypatch.setenv(ENGINE_ENV, "batched")
+        assert resolve_engine("perline").name == "perline"
 
     def test_unknown_explicit_name_raises(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
@@ -46,7 +46,7 @@ class TestEnginePrecedence:
 
     def test_empty_env_value_means_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "")
-        assert resolve_engine().requested == DEFAULT_ENGINE
+        assert resolve_engine().name == DEFAULT_ENGINE
 
 
 class TestPlacementPrecedence:

@@ -7,11 +7,9 @@ hook: every resident dirty line reaches memory exactly once at flush,
 reads produce no write-backs at all, and draining private caches before
 a full flush changes nothing.
 
-Every test runs once per access engine (the per-line oracle, the
-batched fused loops, and the columnar batch kernels): the invariants
-are properties of the architecture, not of any one implementation, and
-the deferred engines are exactly where a queued run could slip past a
-flush boundary.
+Every test runs once per access engine (the per-line oracle and the
+batched fused loops): the invariants are properties of the
+architecture, not of any one implementation.
 """
 
 import pytest
@@ -27,7 +25,7 @@ from repro.machine.topology import (
 
 BASE = 0x40000
 
-ENGINES = ("perline", "batched", "columnar")
+ENGINES = ("perline", "batched")
 
 
 @pytest.fixture(params=ENGINES)
@@ -111,9 +109,9 @@ class TestFlushExactlyOnce:
 class TestMidBlockFaultParity:
     """A block that faults mid-way matches the per-line engine state.
 
-    The deferred engines must preserve the already-queued runs of the
-    faulting block across the exception (the per-line path has already
-    touched the caches with them) and discard only the faulting run.
+    The batched engine must keep the cache effects of the runs before
+    the fault (the per-line path has already touched the caches with
+    them) and discard the faulting block's cycles.
     """
 
     def _partial_block(self, engine):
