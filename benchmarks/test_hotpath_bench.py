@@ -16,8 +16,8 @@ lmbench isolates syscall cost.  Every speedup is a within-run ratio
 (oracle and candidate timed back to back in the same process) because
 absolute wall times on shared CI runners are too noisy to gate on.
 The floors sit at 80% of the recorded speedup, so a >20% regression on
-any scenario fails the gate.  Whole-run engine identity is a tier-1
-test (``tests/integration/test_engine_whole_run.py``).
+any scenario fails the gate.  Whole-run identity is a tier-1 test
+against checked-in digests (``tests/integration/test_golden_runs.py``).
 """
 
 import json

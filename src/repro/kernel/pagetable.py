@@ -31,8 +31,10 @@ class PageTable:
     """Virtual page -> (node, frame) mapping for one process."""
 
     def __init__(self) -> None:
-        # vpage -> physical line base (paddr >> 6 of the frame start)
-        self._line_base: Dict[int, int] = {}
+        #: vpage -> physical line base (paddr >> 6 of the frame start).
+        #: A plain attribute so the hot access loops translate with one
+        #: dict lookup; only this class mutates it.
+        self.line_base_map: Dict[int, int] = {}
         # vpage -> (node_id, frame) for unmapping and introspection
         self._entries: Dict[int, Tuple[int, int]] = {}
         # vpage -> attribution tag for ranges bound but not yet backed
@@ -51,7 +53,7 @@ class PageTable:
         if vpage in self._entries:
             raise ValueError(f"virtual page {vpage:#x} already mapped")
         self._entries[vpage] = (node_id, frame)
-        self._line_base[vpage] = frame_paddr >> 6
+        self.line_base_map[vpage] = frame_paddr >> 6
 
     # ------------------------------------------------------------------
     # Reservations (lazy placement policies: bind now, back on touch)
@@ -100,7 +102,7 @@ class PageTable:
         entry = self._entries.pop(vpage, None)
         if entry is None:
             raise PageFault(vpage << PAGE_SHIFT)
-        del self._line_base[vpage]
+        del self.line_base_map[vpage]
         self.epoch += 1
         return entry
 
@@ -116,7 +118,7 @@ class PageTable:
     def translate_line(self, vaddr: int) -> int:
         """Physical line address for ``vaddr`` (hot path)."""
         vline = vaddr >> 6
-        base = self._line_base.get(vline >> LINES_PER_PAGE_SHIFT)
+        base = self.line_base_map.get(vline >> LINES_PER_PAGE_SHIFT)
         if base is None:
             raise PageFault(vaddr)
         return base + (vline & LINE_OFFSET_MASK)
@@ -129,9 +131,3 @@ class PageTable:
         """Yield ``(vpage, node_id, frame)`` for every mapping."""
         for vpage, (node, frame) in self._entries.items():
             yield vpage, node, frame
-
-    #: Exposed for the hot access loop: translate without method-call
-    #: overhead by binding ``table.line_base_map`` locally.
-    @property
-    def line_base_map(self) -> Dict[int, int]:
-        return self._line_base

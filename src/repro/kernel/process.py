@@ -47,7 +47,8 @@ class SimThread:
         first = vaddr >> 6
         if first != (vaddr + size - 1) >> 6:
             return self.access_block(vaddr, size, is_write)
-        # Single-line fast path: one TLB probe, one access_line call.
+        # Single-line fast path: one TLB probe, then a one-line run
+        # (access_run exits early when the line hits the private cache).
         table = self.process.page_table
         vpage = first >> LINES_PER_PAGE_SHIFT
         if vpage != self._tlb_vpage or table.epoch != self._tlb_epoch:
@@ -60,8 +61,8 @@ class SimThread:
             self._tlb_vpage = vpage
             self._tlb_base = base
             self._tlb_epoch = table.epoch
-        cycles = self.core_path.access_line(
-            self._tlb_base + (first & LINE_OFFSET_MASK), is_write)
+        cycles = self.core_path.access_run(
+            self._tlb_base + (first & LINE_OFFSET_MASK), 1, is_write)
         self.cycles += cycles
         return cycles
 

@@ -97,28 +97,33 @@ class CorePath:
         three frames per line.  Callers must keep a run inside one
         physical frame (the batched page-table walk does), so the whole
         run has a single home node.
+
+        Most runs are one to three lines, so per-call setup matters as
+        much as the loop: the LLC, latency and node state are set up
+        only once a line misses the private cache, and only the stats
+        that moved are added.
         """
         if count <= 0:
             return 0
-        machine = self.machine
-        latency = machine.latency
-        llc = self.socket.llc
-        memory_write = machine.memory_write
-        node = machine.nodes[node_of_line(first_line)]
-        remote = node.node_id != self.socket.memory.node_id
-        mem_latency = latency.memory_latency(remote=remote)
         private = self.private
-
+        machine = self.machine
         if private is None:
-            hits, dirty_victims = llc.access_run(first_line, count, is_write)
+            hits, dirty_victims = self.socket.llc.access_run(
+                first_line, count, is_write)
             for victim in dirty_victims:
-                memory_write(victim)
+                machine.memory_write(victim)
+            latency = machine.latency
             misses = count - hits
-            # record_read() only increments, so batch the increment.
-            node.read_lines += misses
-            if remote:
-                machine.qpi_crossings += misses
-            return hits * latency.llc_hit + misses * mem_latency
+            cycles = hits * latency.llc_hit
+            if misses:
+                node = machine.nodes[node_of_line(first_line)]
+                remote = node.node_id != self.socket.memory.node_id
+                # record_read() only increments, so batch the increment.
+                node.read_lines += misses
+                if remote:
+                    machine.qpi_crossings += misses
+                cycles += misses * latency.memory_latency(remote=remote)
+            return cycles
 
         # Fused private + LLC + memory routing.  This deliberately works
         # on the caches' set dicts directly: it is the per-line sequence
@@ -129,18 +134,28 @@ class CorePath:
         # latency is a pure function of the hit/miss classification).
         # Private set indices advance incrementally (consecutive lines
         # walk consecutive sets), so the hit path has no div/mod either.
-        p_sets, p_num, p_assoc = private._sets, private.num_sets, private.assoc
-        l_sets, l_num, l_assoc = llc._sets, llc.num_sets, llc.assoc
-        p_misses = p_evictions = p_dirty = 0
-        l_hits = l_evictions = l_dirty = 0
+        p_sets = private._sets
+        p_num = private.num_sets
         p_si = first_line % p_num
         p_tag = first_line // p_num
+        llc = None
         for line in range(first_line, first_line + count):
             cache_set = p_sets[p_si]
             dirty = cache_set.pop(p_tag, None)
             if dirty is not None:
                 cache_set[p_tag] = dirty or is_write
             else:
+                if llc is None:
+                    # First private miss of the run: only now set up
+                    # the LLC side.  Write-backs call
+                    # machine.memory_write at the point of use, so a
+                    # patched NumaMachine.memory_write (the
+                    # lost-writeback canary) is always honoured.
+                    llc = self.socket.llc
+                    p_assoc = private.assoc
+                    l_sets, l_num, l_assoc = llc._sets, llc.num_sets, llc.assoc
+                    p_misses = p_evictions = p_dirty = 0
+                    l_hits = l_evictions = l_dirty = 0
                 p_misses += 1
                 # Private miss: evict (write-back into the LLC, which
                 # may displace a dirty LLC line to memory), allocate,
@@ -160,7 +175,8 @@ class CorePath:
                                 l_evictions += 1
                                 if wb_set.pop(out_tag):
                                     l_dirty += 1
-                                    memory_write(out_tag * l_num + wb_index)
+                                    machine.memory_write(
+                                        out_tag * l_num + wb_index)
                         wb_set[wb_tag] = True
                 cache_set[p_tag] = is_write
                 l_si = line % l_num
@@ -176,29 +192,46 @@ class CorePath:
                         l_evictions += 1
                         if l_set.pop(out_tag):
                             l_dirty += 1
-                            memory_write(out_tag * l_num + l_si)
+                            machine.memory_write(out_tag * l_num + l_si)
                     l_set[l_tag] = False
             p_si += 1
             if p_si == p_num:
                 p_si = 0
                 p_tag += 1
+        if llc is None:
+            # Every line hit the private cache.
+            private.stats.hits += count
+            return count * machine.latency.l2_hit
+        latency = machine.latency
         p_hits = count - p_misses
         l_misses = p_misses - l_hits
-        cycles = (p_hits * latency.l2_hit + l_hits * latency.llc_hit
-                  + l_misses * mem_latency)
+        cycles = p_hits * latency.l2_hit
+        # Only the stats that moved are added: p_misses >= 1 here, the
+        # rest are often zero on short runs.
         p_stats = private.stats
-        p_stats.hits += p_hits
+        if p_hits:
+            p_stats.hits += p_hits
         p_stats.misses += p_misses
-        p_stats.evictions += p_evictions
-        p_stats.dirty_evictions += p_dirty
+        if p_evictions:
+            p_stats.evictions += p_evictions
+            if p_dirty:
+                p_stats.dirty_evictions += p_dirty
         l_stats = llc.stats
-        l_stats.hits += l_hits
-        l_stats.misses += l_misses
-        l_stats.evictions += l_evictions
-        l_stats.dirty_evictions += l_dirty
-        node.read_lines += l_misses
-        if remote:
-            machine.qpi_crossings += l_misses
+        if l_hits:
+            l_stats.hits += l_hits
+            cycles += l_hits * latency.llc_hit
+        if l_evictions:
+            l_stats.evictions += l_evictions
+            if l_dirty:
+                l_stats.dirty_evictions += l_dirty
+        if l_misses:
+            l_stats.misses += l_misses
+            node = machine.nodes[node_of_line(first_line)]
+            remote = node.node_id != self.socket.memory.node_id
+            cycles += l_misses * latency.memory_latency(remote=remote)
+            node.read_lines += l_misses
+            if remote:
+                machine.qpi_crossings += l_misses
         return cycles
 
     def drain(self) -> None:

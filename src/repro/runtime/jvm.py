@@ -32,7 +32,13 @@ from repro.kernel.process import SimThread
 from repro.kernel.vm import Kernel
 from repro.observability.trace import TRACER
 from repro.runtime.heap import HybridHeap, OutOfMemoryError
-from repro.runtime.objectmodel import LOS_THRESHOLD, Obj, object_size
+from repro.runtime.objectmodel import (
+    HEADER_BYTES,
+    LOS_THRESHOLD,
+    REF_BYTES,
+    Obj,
+    object_size,
+)
 from repro.sanitize.invariants import SANITIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -262,6 +268,9 @@ class MutatorContext:
     def __init__(self, vm: JavaVM, seed: int = 0) -> None:
         self.vm = vm
         self.rng = random.Random(seed)
+        # Per-field offset draws inline randrange(n)'s exact getrandbits
+        # rejection loop (see SyntheticApp.iteration).
+        self._getrandbits = self.rng.getrandbits
         self.thread_index = 0
         self._threads = vm.app_threads
 
@@ -290,7 +299,7 @@ class MutatorContext:
                           num_refs=num_refs)
         size = object_size(scalar_bytes, num_refs)
         is_large = large if large is not None else size >= LOS_THRESHOLD
-        thread = self.thread
+        thread = self._threads[self.thread_index]
         if is_large:
             obj = vm.collector.allocate_large(vm, size, num_refs, thread)
         else:
@@ -338,7 +347,9 @@ class MutatorContext:
             vm.remset_record(obj, thread)
 
     def read_ref(self, obj: Obj, slot: int) -> Optional[Obj]:
-        self.thread.access(obj.ref_slot_addr(slot), 4, False)
+        # Obj.ref_slot_addr inlined: this runs on every working-set pick.
+        self._threads[self.thread_index].access(
+            obj.addr + HEADER_BYTES + slot * REF_BYTES, 4, False)
         return obj.refs[slot]
 
     def write_scalar(self, obj: Obj, offset: int = 0, nbytes: int = 8) -> None:
@@ -353,13 +364,40 @@ class MutatorContext:
         self.thread.access(obj.scalar_addr(offset), nbytes, False)
 
     def write_scalar_random(self, obj: Obj, nbytes: int = 8) -> None:
-        """Write at a random payload offset (mutation models use this)."""
-        span = max(1, obj.scalar_bytes - nbytes)
-        self.write_scalar(obj, self.rng.randrange(span), nbytes)
+        """Write at a random payload offset (mutation models use this).
+
+        Same traffic and draws as ``write_scalar(obj,
+        rng.randrange(span), nbytes)`` with ``span = max(1,
+        obj.scalar_bytes - nbytes)``, but with the payload address and
+        the draw computed inline: this runs on every working-set write.
+        """
+        vm = self.vm
+        thread = self._threads[self.thread_index]
+        payload = HEADER_BYTES + len(obj.refs) * REF_BYTES
+        span = obj.size - payload - nbytes
+        if span < 1:
+            span = 1
+        bits = span.bit_length()
+        offset = self._getrandbits(bits)
+        while offset >= span:
+            offset = self._getrandbits(bits)
+        thread.access(obj.addr + payload + offset, nbytes, True)
+        if vm.monitoring_overhead:
+            thread.compute(vm.monitor_barrier_cycles)
+        self._monitor_write(obj)
 
     def read_scalar_random(self, obj: Obj, nbytes: int = 8) -> None:
-        span = max(1, obj.scalar_bytes - nbytes)
-        self.read_scalar(obj, self.rng.randrange(span), nbytes)
+        """Read at a random payload offset; see write_scalar_random."""
+        payload = HEADER_BYTES + len(obj.refs) * REF_BYTES
+        span = obj.size - payload - nbytes
+        if span < 1:
+            span = 1
+        bits = span.bit_length()
+        offset = self._getrandbits(bits)
+        while offset >= span:
+            offset = self._getrandbits(bits)
+        self._threads[self.thread_index].access(
+            obj.addr + payload + offset, nbytes, False)
 
     def _monitor_write(self, obj: Obj) -> None:
         # Kingsguard write monitoring: observer residents and PCM large
@@ -374,8 +412,8 @@ class MutatorContext:
     # -- compute ------------------------------------------------------------
     def compute(self, units: int = 1) -> None:
         """Account non-memory work for the current thread."""
-        thread = self.thread
-        thread.compute(units * self.vm.kernel.machine.latency.op_base)
+        self._threads[self.thread_index].compute(
+            units * self.vm.kernel.machine.latency.op_base)
 
     # -- roots ----------------------------------------------------------------
     def add_root(self, obj: Optional[Obj]) -> int:

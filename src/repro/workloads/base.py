@@ -180,6 +180,25 @@ class SyntheticApp(BenchmarkApp):
         write_acc = 0.0
         read_acc = 0.0
         large_acc = 0.0
+        # Exact-sequence draws.  For random.Random, choice(seq) and
+        # randrange(n) both reduce to _randbelow(n): getrandbits(k) with
+        # k = n.bit_length(), redrawn while the result is >= n.  That
+        # loop is inlined below with each bound's k precomputed, so the
+        # draws consume exactly the same getrandbits sequence (pinned by
+        # tests/workloads/test_draw_contract.py and the golden runs).
+        rand = rng.random
+        getrandbits = rng.getrandbits
+        small_sizes = profile.small_sizes
+        small_refs = profile.small_refs
+        num_sizes = len(small_sizes)
+        num_refs = len(small_refs)
+        sizes_bits = num_sizes.bit_length()
+        refs_bits = num_refs.bit_length()
+        tables_bits = num_tables.bit_length()
+        hot_bits = hot_tables.bit_length()
+        read_ref = ctx.read_ref
+        write_scalar_random = ctx.write_scalar_random
+        read_scalar_random = ctx.read_scalar_random
         for op in range(profile.ops):
             ctx.use_thread(op % self.app_threads)
             ctx.compute(profile.compute_per_op)
@@ -191,10 +210,15 @@ class SyntheticApp(BenchmarkApp):
             alloc_acc += profile.alloc_per_op
             while alloc_acc >= 1.0:
                 alloc_acc -= 1.0
-                obj = ctx.alloc(
-                    scalar_bytes=rng.choice(profile.small_sizes),
-                    num_refs=rng.choice(profile.small_refs))
-                if rng.random() < profile.survival_rate:
+                size = getrandbits(sizes_bits)  # choice(small_sizes)
+                while size >= num_sizes:
+                    size = getrandbits(sizes_bits)
+                refs = getrandbits(refs_bits)  # choice(small_refs)
+                while refs >= num_refs:
+                    refs = getrandbits(refs_bits)
+                obj = ctx.alloc(scalar_bytes=small_sizes[size],
+                                num_refs=small_refs[refs])
+                if rand() < profile.survival_rate:
                     self._link(ctx, rng, obj)
                 # otherwise the object dies in the nursery
 
@@ -204,20 +228,46 @@ class SyntheticApp(BenchmarkApp):
                 large_acc -= 1.0
                 self._alloc_large(ctx, rng)
 
-            # --- working-set mutation ---
+            # --- working-set mutation, then reads ---
             write_acc += profile.writes_per_op
+            writes = 0
             while write_acc >= 1.0:
                 write_acc -= 1.0
-                target = self._pick(ctx, rng, hot_start, hot_tables,
-                                    profile.hot_write_fraction)
-                ctx.write_scalar_random(target)
-
-            # --- working-set reads ---
+                writes += 1
             read_acc += profile.reads_per_op
+            picks = writes
             while read_acc >= 1.0:
                 read_acc -= 1.0
-                target = self._pick(ctx, rng, hot_start, hot_tables, 0.5)
-                ctx.read_scalar_random(target)
+                picks += 1
+            for pick in range(picks):
+                is_write = pick < writes
+                # Pick a live object with hot/cold skew.  The hot window
+                # starts at hot_start and drifts across the working set
+                # as the program changes phase.
+                if rand() < (profile.hot_write_fraction if is_write
+                               else 0.5):
+                    index = getrandbits(hot_bits)  # randrange(hot_tables)
+                    while index >= hot_tables:
+                        index = getrandbits(hot_bits)
+                    table = tables[(hot_start + index) % num_tables]
+                else:
+                    index = getrandbits(tables_bits)  # randrange(num_tables)
+                    while index >= num_tables:
+                        index = getrandbits(tables_bits)
+                    table = tables[index]
+                # Log-uniform slot choice: a few objects per table take
+                # most of the writes, persistently.  This is the skew
+                # that makes "past writes predict future writes" — the
+                # premise KG-W relies on.  An empty slot falls back to
+                # the table itself.
+                slot = int(len(table.refs) ** rand()) - 1
+                target = read_ref(table, slot if slot > 0 else 0)
+                if target is None:
+                    target = table
+                if is_write:
+                    write_scalar_random(target)
+                else:
+                    read_scalar_random(target)
 
             if (op + 1) % profile.quantum == 0:
                 yield
@@ -258,25 +308,3 @@ class SyntheticApp(BenchmarkApp):
                 ctx.clear_root(victim_root)
             self._large_window.append(obj)
             self._large_roots.append(ctx.add_root(obj))
-
-    def _pick(self, ctx: MutatorContext, rng: random.Random,
-              hot_start: int, hot_tables: int,
-              hot_fraction: float) -> Obj:
-        """Pick a live object with hot/cold skew; fall back to a table.
-
-        The hot window starts at ``hot_start`` and drifts across the
-        working set as the program changes phase.
-        """
-        tables = self._tables
-        if rng.random() < hot_fraction:
-            table = tables[(hot_start + rng.randrange(hot_tables))
-                           % len(tables)]
-        else:
-            table = tables[rng.randrange(len(tables))]
-        # Log-uniform slot choice: a few objects per table take most of
-        # the writes, persistently.  This is the skew that makes "past
-        # writes predict future writes" — the premise KG-W relies on.
-        slots = len(table.refs)
-        slot = int(slots ** rng.random()) - 1
-        ref = ctx.read_ref(table, max(0, slot))
-        return ref if ref is not None else table

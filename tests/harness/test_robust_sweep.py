@@ -1,5 +1,8 @@
 """Crash-tolerant sweeps: retries, timeouts, degradation, checkpoints."""
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.core.platform import EmulationMode
@@ -30,6 +33,40 @@ def clean_registry():
     METRICS.reset()
     yield
     METRICS.reset()
+
+
+#: Upper bound on a two-worker pool test that normally takes seconds.
+POOL_WATCHDOG_SECONDS = 120.0
+
+
+def _with_watchdog(call, seconds=POOL_WATCHDOG_SECONDS):
+    """Run ``call`` on a helper thread; fail the test if it hangs.
+
+    pytest-timeout is not a dependency, so a process-pool deadlock would
+    otherwise stall the whole suite.  On timeout the pool's worker
+    processes are terminated (which breaks the pool and lets the helper
+    thread unwind) and the test fails with a message.
+    """
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as error:  # re-raised on the test thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, name="pool-watchdog",
+                              daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        for child in multiprocessing.active_children():
+            child.terminate()
+        pytest.fail(f"process-pool call still running after {seconds:.0f}s;"
+                    f" its workers were terminated (pool hang)")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")
 
 
 def _values(results):
@@ -147,8 +184,8 @@ class TestPersistentFailure:
     def test_run_many_raises_only_after_siblings_complete(self):
         runner = ExperimentRunner()
         with pytest.raises(KeyError, match="no-such-benchmark"):
-            runner.run_many(self.BAD, max_workers=2,
-                            retry=RetryPolicy(max_attempts=1))
+            _with_watchdog(lambda: runner.run_many(
+                self.BAD, max_workers=2, retry=RetryPolicy(max_attempts=1)))
         # Both healthy keys finished and were cached before the raise.
         assert runner.executions == 2
 

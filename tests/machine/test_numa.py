@@ -105,3 +105,157 @@ class TestMachine:
         # Socket 1's LLC does not hold socket 0's line.
         cost = core1.access_line(line, False)
         assert cost == machine.latency.remote_dram
+
+
+# ----------------------------------------------------------------------
+# access_run on short runs: n fused lines == n access_line calls
+# ----------------------------------------------------------------------
+
+#: 1 KB 4-way private cache (4 sets) in front of a 2 KB 2-way LLC (16
+#: sets): small enough that every scenario below builds its eviction
+#: state by hand.  Lines that share an LLC set also share a private set.
+P_SETS = 4
+L_SETS = 16
+
+
+def short_run_machine(private=True):
+    machine = build_test_machine(llc_size=2 * KB, llc_assoc=2,
+                                 private_l2=1 * KB if private else 0)
+    for node in machine.nodes:
+        node.allocate_frame()
+        node.tag_frame(0, f"space{node.node_id}")
+    return machine
+
+
+def all_private_hits(machine):
+    core = machine.make_core(0)
+    base = line_on(machine, 0)
+    for offset in range(3):
+        core.access_line(base + offset, offset == 1)
+    return core, base
+
+
+def hits_then_miss(machine):
+    # Line 0 and line 2 are cached, line 1 is not: a run of two or
+    # three lines hits, then misses mid-run, then (n=3) hits again.
+    core = machine.make_core(0)
+    base = line_on(machine, 0)
+    core.access_line(base, True)
+    core.access_line(base + 2, False)
+    return core, base
+
+
+def dirty_victim_chain(machine):
+    # The run's first line misses the private cache and evicts its
+    # dirty LRU line V; V's write-back into a full LLC set of dirty
+    # lines pushes the LLC's LRU line A out to memory.
+    core = machine.make_core(0)
+    other = machine.make_core(0)
+    v = line_on(machine, 1)
+    a, b = v + L_SETS, v + 2 * L_SETS
+    core.access_line(v, True)
+    other.access_line(a, True)
+    other.access_line(b, True)  # evicts the clean LLC copy of V
+    other.drain()  # A and B now dirty in the LLC
+    for k in (1, 2, 3):  # fill V's private set; V stays LRU
+        core.access_line(v + k * P_SETS, False)
+    return core, v + 5 * P_SETS
+
+
+def remote_llc_misses(machine):
+    return machine.make_core(0), line_on(machine, 1)
+
+
+def llc_only_dirty_victims(machine):
+    # No private cache: line 0 hits the LLC, line 1 misses into a full
+    # set whose LRU line is dirty.
+    core = machine.make_core(0)
+    base = line_on(machine, 1)
+    core.access_line(base, False)
+    core.access_line(base + 1 + L_SETS, True)
+    core.access_line(base + 1 + 2 * L_SETS, True)
+    return core, base
+
+
+SHORT_RUNS = {
+    "all-private-hits": (True, all_private_hits),
+    "hits-then-miss": (True, hits_then_miss),
+    "dirty-victim-chain": (True, dirty_victim_chain),
+    "remote-llc-misses": (True, remote_llc_misses),
+    "llc-only": (False, llc_only_dirty_victims),
+}
+
+
+def machine_state(machine, core):
+    """Every counter and cache line access_run is allowed to move."""
+    state = {"qpi": machine.qpi_crossings, "nodes": [
+        (node.read_lines, node.write_lines, dict(node.writes_by_tag))
+        for node in machine.nodes]}
+    for name, cache in (("private", core.private),
+                        ("llc", core.socket.llc)):
+        if cache is None:
+            continue
+        state[name] = (
+            vars(cache.stats).copy(),
+            # Resident lines with their dirty bits, LRU first.
+            [[(tag * cache.num_sets + index, dirty)
+              for tag, dirty in cache_set.items()]
+             for index, cache_set in enumerate(cache._sets)])
+    return state
+
+
+@pytest.mark.parametrize("scenario", sorted(SHORT_RUNS))
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize("is_write", [False, True])
+def test_short_access_run_matches_per_line(scenario, count, is_write):
+    private, setup = SHORT_RUNS[scenario]
+    fused_machine = short_run_machine(private)
+    oracle_machine = short_run_machine(private)
+    fused_core, first = setup(fused_machine)
+    oracle_core, oracle_first = setup(oracle_machine)
+    assert first == oracle_first
+    assert machine_state(fused_machine, fused_core) == \
+        machine_state(oracle_machine, oracle_core)
+
+    fused = fused_core.access_run(first, count, is_write)
+    oracle = sum(oracle_core.access_line(first + i, is_write)
+                 for i in range(count))
+
+    assert fused == oracle
+    assert machine_state(fused_machine, fused_core) == \
+        machine_state(oracle_machine, oracle_core)
+
+
+def test_short_run_scenarios_reach_their_paths():
+    """Each scenario drives the path it is named after (oracle side)."""
+    latency = LatencyModel()
+
+    machine = short_run_machine()
+    core, first = all_private_hits(machine)
+    assert sum(core.access_line(first + i, True) for i in range(3)) \
+        == 3 * latency.l2_hit
+
+    machine = short_run_machine()
+    core, first = hits_then_miss(machine)
+    assert [core.access_line(first + i, False) for i in range(3)] \
+        == [latency.l2_hit, latency.local_dram, latency.l2_hit]
+
+    machine = short_run_machine()
+    core, first = dirty_victim_chain(machine)
+    before = machine.nodes[1].write_lines
+    core.access_line(first, False)
+    assert machine.nodes[1].write_lines == before + 1
+    assert machine.nodes[1].writes_by_tag["space1"] == before + 1
+
+    machine = short_run_machine()
+    core, first = remote_llc_misses(machine)
+    assert core.access_line(first, False) == latency.remote_dram
+    assert machine.qpi_crossings == 1
+    assert machine.nodes[1].read_lines == 1
+
+    machine = short_run_machine(private=False)
+    core, first = llc_only_dirty_victims(machine)
+    before = machine.nodes[1].write_lines
+    assert [core.access_line(first + i, False) for i in range(2)] \
+        == [latency.llc_hit, latency.remote_dram]
+    assert machine.nodes[1].write_lines == before + 1

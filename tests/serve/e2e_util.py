@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -13,7 +14,12 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 class ServerProcess:
-    """A ``repro serve`` subprocess on an ephemeral port."""
+    """A ``repro serve`` subprocess on an ephemeral port.
+
+    The server leads its own process group, so :meth:`sigkill` and
+    :meth:`close` take down the pool workers it forked along with it
+    instead of leaving them orphaned.
+    """
 
     def __init__(self, store, extra_args=(), env_extra=None):
         env = dict(os.environ,
@@ -24,7 +30,7 @@ class ServerProcess:
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--store", store, *extra_args],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env)
+            text=True, env=env, start_new_session=True)
         banner = self.proc.stdout.readline()
         match = re.search(r"http://[\d.]+:(\d+)", banner)
         assert match, f"no listen banner, got: {banner!r}"
@@ -53,8 +59,14 @@ class ServerProcess:
             time.sleep(0.25)
         raise AssertionError(f"{job_id} not terminal after {timeout}s")
 
+    def _kill_group(self):
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the server and all its workers are already gone
+
     def sigkill(self):
-        self.proc.kill()
+        self._kill_group()
         self.proc.wait(timeout=10)
 
     def sigterm(self, timeout=30):
@@ -62,6 +74,5 @@ class ServerProcess:
         self.proc.wait(timeout=timeout)
 
     def close(self):
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
+        self._kill_group()
+        self.proc.wait(timeout=10)
