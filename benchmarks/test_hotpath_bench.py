@@ -1,16 +1,18 @@
-"""Hot-path engine gate: batched vs the per-line oracle, speed + identity.
+"""Hot-path gate: the access path vs the per-line oracle, speed + identity.
 
-The ``batched`` engine's fused loops exist purely to make the simulator
-faster; they must not change a single simulated counter.  This gate
-drives identical access traces through both engines on identically
-built machines and asserts the full architectural state — per-node
-read/write lines, per-tag write attribution, private-cache and LLC
-stats, QPI crossings, and thread cycles — comes out *bit-identical* to
-the per-line oracle, while the batched engine clears its recorded speed
-floor on every scenario.
+The access path's fused ``access_run`` loops (reported as ``batched``)
+exist purely to make the simulator faster; they must not change a
+single simulated counter.  This gate drives identical access traces
+through the default path and, under
+:func:`~repro.sanitize.fuzz.per_line_oracle`, through the per-line
+walk, on identically built machines, and asserts the full
+architectural state — per-node read/write lines, per-tag write
+attribution, private-cache and LLC stats, QPI crossings, and thread
+cycles — comes out *bit-identical* to the per-line oracle, while the
+batched path clears its recorded speed floor on every scenario.
 
 Results land in ``BENCH_hotpath.json`` at the repo root (uploaded as a
-CI artifact).  The headline number is the batched engine on the
+CI artifact).  The headline number is the batched path on the
 L2-resident hot-page scenario: it isolates raw engine overhead the way
 lmbench isolates syscall cost.  Every speedup is a within-run ratio
 (oracle and candidate timed back to back in the same process) because
@@ -24,6 +26,7 @@ import json
 import os
 import random
 import time
+from contextlib import nullcontext
 
 from repro.config import DEFAULT_LATENCY, DEFAULT_SCALE_CONFIG, PAGE_SIZE
 from repro.kernel.vm import Kernel
@@ -32,6 +35,7 @@ from repro.machine.topology import (
     PCM_NODE,
     emulation_platform_spec,
 )
+from repro.sanitize.fuzz import per_line_oracle
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_PATH = os.path.join(REPO_ROOT, "BENCH_hotpath.json")
@@ -40,7 +44,7 @@ BASE = 0x100000
 #: Pages mapped per node for the microbenchmark traces.
 PAGES_PER_NODE = 512
 
-#: Per-scenario floors for the batched engine: 80% of the speedup
+#: Per-scenario floors for the batched path: 80% of the speedup
 #: recorded in BENCH_hotpath.json on the reference container, so a
 #: >20% regression on any scenario fails the gate.
 BATCHED_FLOORS = {
@@ -112,10 +116,10 @@ SCENARIOS = [
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _fresh_thread(engine):
+def _fresh_thread():
     """A thread over PAGES_PER_NODE pages on DRAM then PCM."""
     machine = emulation_platform_spec(
-        DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build(engine=engine)
+        DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build()
     kernel = Kernel(machine)
     process = kernel.create_process(affinity_socket=0)
     length = PAGES_PER_NODE * PAGE_SIZE
@@ -127,7 +131,7 @@ def _fresh_thread(engine):
 
 
 def _snapshot(machine, thread):
-    """Every simulated counter the engines could possibly disagree on."""
+    """Every simulated counter the two paths could possibly disagree on."""
     machine.flush_all([thread.core_path])
     private = thread.core_path.private
     return {
@@ -144,24 +148,24 @@ def _snapshot(machine, thread):
     }
 
 
-def _drive(ops, engine, repeats=3):
-    """Best-of-N wall time plus the end-state snapshot for one engine.
+def _drive(ops, oracle, repeats=3):
+    """Best-of-N wall time plus the end-state snapshot for one path.
 
-    The machine is built fresh per repeat with ``engine`` selected at
-    build time, and the trace always goes through ``thread.access`` —
-    engine dispatch happens where production runs dispatch it, in
-    ``Process.spawn_thread``, not via a method override here.
+    The machine is built fresh per repeat and the trace always goes
+    through ``thread.access``; with ``oracle`` set that is the per-line
+    walk, patched in by :func:`per_line_oracle`.
     """
     best = float("inf")
     snapshot = None
-    for _ in range(repeats):
-        machine, thread = _fresh_thread(engine)
-        access = thread.access
-        start = time.perf_counter()
-        for vaddr, size, is_write in ops:
-            access(vaddr, size, is_write)
-        best = min(best, time.perf_counter() - start)
-        snapshot = _snapshot(machine, thread)
+    with per_line_oracle() if oracle else nullcontext():
+        for _ in range(repeats):
+            machine, thread = _fresh_thread()
+            access = thread.access
+            start = time.perf_counter()
+            for vaddr, size, is_write in ops:
+                access(vaddr, size, is_write)
+            best = min(best, time.perf_counter() - start)
+            snapshot = _snapshot(machine, thread)
     return best, snapshot
 
 
@@ -177,12 +181,12 @@ def test_engine_matrix_identical_and_faster():
     }
     for name, build_trace in SCENARIOS:
         ops = build_trace()
-        baseline_seconds, oracle_state = _drive(ops, "perline")
+        baseline_seconds, oracle_state = _drive(ops, oracle=True)
         lines = sum((vaddr + size - 1) // 64 - vaddr // 64 + 1
                     for vaddr, size, _ in ops)
-        engine_seconds, engine_state = _drive(ops, "batched")
+        engine_seconds, engine_state = _drive(ops, oracle=False)
         assert engine_state == oracle_state, (
-            f"{name}: batched engine diverged from the per-line oracle")
+            f"{name}: batched path diverged from the per-line oracle")
         report["scenarios"][name] = {
             "ops": len(ops),
             "lines": lines,

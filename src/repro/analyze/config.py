@@ -20,7 +20,7 @@ Policy pieces:
   Augmented/plain assignment to a registered counter outside its owning
   class must come from a declared mutator (``C001``).
 * **counter_mutators** — ``module::Qual.name`` functions allowed to
-  mutate foreign counters (the batched engine's fused loops).
+  mutate foreign counters (the access path's fused loops).
 * **engine_functions** — functions allowed to reach into another
   object's private attributes (``RC01``'s ownership protocol).
 * **hook_sites** — state-mutating operations that must carry their
@@ -111,19 +111,19 @@ DEFAULT_COUNTERS: Dict[str, List[str]] = {
     "wear": ["WearTracker"],
 }
 
-#: Functions allowed to mutate foreign registered counters: the batched
-#: access engine's fused loops, where the method-call discipline is
-#: deliberately traded away (counter-identity is proven by the
-#: differential fuzzer instead).
+#: Functions allowed to mutate foreign registered counters: the access
+#: path's fused loops (and the per-line oracle's walk), where the
+#: method-call discipline is deliberately traded away (counter-identity
+#: is proven by the differential fuzzer instead).
 DEFAULT_COUNTER_MUTATORS: Tuple[str, ...] = (
     "repro.machine.numa::CorePath.access_line",
     "repro.machine.numa::CorePath.access_run",
 )
 
 #: Functions allowed to touch another object's private attributes —
-#: the batched engine's ownership protocol (one CorePath owns the
+#: the access path's ownership protocol (one CorePath owns the
 #: cache dicts it manipulates for the duration of a run).
-DEFAULT_ENGINE_FUNCTIONS: Tuple[str, ...] = (
+DEFAULT_OWNERSHIP_FUNCTIONS: Tuple[str, ...] = (
     "repro.machine.numa::CorePath.access_run",
 )
 
@@ -193,7 +193,7 @@ class LintConfig:
     counter_mutators: List[str] = field(
         default_factory=lambda: list(DEFAULT_COUNTER_MUTATORS))
     engine_functions: List[str] = field(
-        default_factory=lambda: list(DEFAULT_ENGINE_FUNCTIONS))
+        default_factory=lambda: list(DEFAULT_OWNERSHIP_FUNCTIONS))
     hook_sites: List[Tuple[str, str, Tuple[str, ...]]] = field(
         default_factory=lambda: [(m, q, tuple(h))
                                  for m, q, h in DEFAULT_HOOK_SITES])

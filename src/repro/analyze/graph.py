@@ -37,56 +37,6 @@ from repro.analyze.config import LintConfig
 from repro.analyze.engine import ModuleUnderAnalysis
 
 
-@dataclass(frozen=True)
-class ParamShape:
-    """Callable surface of one function: parameter counts and kinds."""
-
-    required: int
-    optional: int
-    vararg: bool
-    kwonly: Tuple[str, ...]
-    kwarg: bool
-
-    def describe(self) -> str:
-        bits = [f"{self.required} required"]
-        if self.optional:
-            bits.append(f"{self.optional} optional")
-        if self.vararg:
-            bits.append("*args")
-        if self.kwonly:
-            bits.append("kwonly=" + ",".join(self.kwonly))
-        if self.kwarg:
-            bits.append("**kwargs")
-        return "(" + ", ".join(bits) + ")"
-
-
-def _is_staticmethod(node: ast.AST) -> bool:
-    for deco in getattr(node, "decorator_list", []):
-        name = deco.attr if isinstance(deco, ast.Attribute) else \
-            getattr(deco, "id", None)
-        if name == "staticmethod":
-            return True
-    return False
-
-
-def shape_of(node: ast.AST, in_class: bool) -> ParamShape:
-    """Extract the parameter shape, dropping ``self``/``cls`` receivers."""
-    args = node.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if in_class and positional and not _is_staticmethod(node):
-        positional = positional[1:]
-    optional = len(args.defaults)
-    if optional > len(positional):  # receiver carried a default (odd)
-        optional = len(positional)
-    return ParamShape(
-        required=len(positional) - optional,
-        optional=optional,
-        vararg=args.vararg is not None,
-        kwonly=tuple(a.arg for a in args.kwonlyargs),
-        kwarg=args.kwarg is not None,
-    )
-
-
 @dataclass
 class FunctionInfo:
     """One ``def``/``async def``, module-qualified."""
@@ -97,7 +47,6 @@ class FunctionInfo:
     name: str
     lineno: int
     is_async: bool
-    shape: ParamShape
     node: ast.AST               # FunctionDef | AsyncFunctionDef
     owner: Optional[str] = None  # owning class fid, if a method
 
@@ -118,10 +67,6 @@ class ClassInfo:
     #: attr -> dotted constructor name (phase 1) / class fid (phase 2).
     raw_attr_types: Dict[str, str] = field(default_factory=dict)
     attr_types: Dict[str, str] = field(default_factory=dict)
-
-    def public_methods(self) -> Dict[str, FunctionInfo]:
-        return {n: f for n, f in self.methods.items()
-                if not n.startswith("_")}
 
 
 @dataclass
@@ -297,7 +242,6 @@ def _extract_symbols(symbols: ModuleSymbols) -> None:
                     name=node.name,
                     lineno=node.lineno,
                     is_async=isinstance(node, ast.AsyncFunctionDef),
-                    shape=shape_of(node, in_class),
                     node=node,
                     owner=owner,
                 )

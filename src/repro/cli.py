@@ -28,7 +28,6 @@ from repro.config import DEFAULT_SCALE_CONFIG, RECOMMENDED_WRITE_RATE_MBS
 from repro.core.collectors import ALL_COLLECTOR_NAMES
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
 from repro.kernel.placement import placement_names
-from repro.machine.engine import describe_engines, engine_names
 from repro.observability import (
     METRICS,
     PROFILER,
@@ -52,10 +51,6 @@ def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
                         choices=["default", "large"])
     parser.add_argument("--mode", default="emulation",
                         choices=["emulation", "simulation"])
-    parser.add_argument("--engine", default=None,
-                        choices=list(engine_names()),
-                        help=f"cache access engine; {describe_engines()} "
-                             "(default: $REPRO_ENGINE or 'batched')")
     parser.add_argument("--placement", default=None,
                         choices=list(placement_names()),
                         help="kernel page-placement policy (default: "
@@ -159,19 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "and failures) instead of the table")
 
     sanitize = sub.add_parser(
-        "sanitize", help="differentially fuzz one access engine against "
-                         "a reference engine and run the invariant "
+        "sanitize", help="differentially fuzz the access path against "
+                         "the per-line oracle and run the invariant "
                          "sanitizer; shrink any divergence")
     sanitize.add_argument("--seed", type=int, default=0,
                           help="base RNG seed (trial i uses seed+i)")
-    sanitize.add_argument("--engine", default="batched",
-                          choices=[*engine_names(), "oracle"],
-                          help="engine under test ('oracle' is an alias "
-                               "for perline; default: batched)")
-    sanitize.add_argument("--reference", default="perline",
-                          choices=[*engine_names(), "oracle"],
-                          help="reference engine to diff against "
-                               "(default: perline)")
     sanitize.add_argument("--placement", default="static",
                           choices=list(placement_names()),
                           help="page-placement policy for both replays "
@@ -309,7 +296,6 @@ def _measure(args: argparse.Namespace, track_wear: bool = False):
     mode = (EmulationMode.EMULATION if args.mode == "emulation"
             else EmulationMode.SIMULATION)
     platform = HybridMemoryPlatform(mode=mode, track_wear=track_wear,
-                                    engine=args.engine,
                                     placement=args.placement)
     factory = benchmark_factory(args.benchmark)
 
@@ -513,8 +499,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     try:
         fuzzer = DifferentialFuzzer(ops=args.ops, shrink=args.shrink,
                                     check_every=args.check_every,
-                                    engine=args.engine,
-                                    reference=args.reference,
                                     placement=args.placement,
                                     tick_every=args.tick_every)
     except ValueError as exc:

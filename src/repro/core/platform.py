@@ -220,7 +220,6 @@ class HybridMemoryPlatform:
                  monitor_interval_rounds: int = 8,
                  llc_size_override: int = 0,
                  track_wear: bool = False,
-                 engine: Optional[str] = None,
                  placement: Optional[str] = None) -> None:
         self.mode = mode
         self.scale = scale
@@ -229,8 +228,6 @@ class HybridMemoryPlatform:
         self.monitor_interval_rounds = monitor_interval_rounds
         self.llc_size_override = llc_size_override
         self.track_wear = track_wear
-        #: Access-engine name (None honours $REPRO_ENGINE / default).
-        self.engine = engine
         #: Placement-policy name (None honours $REPRO_PLACEMENT /
         #: default); see :mod:`repro.kernel.placement`.
         self.placement = placement
@@ -319,7 +316,7 @@ class HybridMemoryPlatform:
             raise ValueError("need at least one instance")
         host_start = time.perf_counter()
         emulating = self.mode is EmulationMode.EMULATION
-        machine = self._machine_spec().build(engine=self.engine)
+        machine = self._machine_spec().build()
         kernel = Kernel(machine, placement=self.placement)
         #: Exposed for tests that inject faults mid-run and then verify
         #: the platform released every frame and monitor process.

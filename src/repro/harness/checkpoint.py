@@ -175,34 +175,33 @@ def result_from_dict(data: Dict) -> MeasurementResult:
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint was written under a different engine/placement.
+    """A checkpoint was written under a different placement policy.
 
     Resuming would merge counters from two incompatible configurations
-    (e.g. a sweep checkpointed under ``$REPRO_ENGINE=perline`` resumed
-    under ``batched``) — bit-identical by contract, but a mismatch here
-    means someone changed the environment mid-sweep, which is exactly
-    the silent-drift scenario checkpoints exist to prevent.
+    (e.g. a sweep checkpointed under ``$REPRO_PLACEMENT=migrate``
+    resumed under ``static``): a mismatch here means someone changed
+    the environment mid-sweep, which is exactly the silent-drift
+    scenario checkpoints exist to prevent.
     """
 
 
 class SweepCheckpoint:
     """Append-only JSONL store of completed ``RunKey -> result`` pairs.
 
-    ``engine`` / ``placement`` stamp the file with the configuration
-    the sweep runs under (a ``"header"`` record written at truncate or
-    first append).  :meth:`load` raises :class:`CheckpointMismatch`
-    when the on-disk stamp disagrees with this process's — headerless
-    files written before stamping existed load without complaint.
+    ``placement`` stamps the file with the policy the sweep runs under
+    (a ``"header"`` record written at truncate or first append).
+    :meth:`load` raises :class:`CheckpointMismatch` when the on-disk
+    stamp disagrees with this process's — headerless files written
+    before stamping existed load without complaint, and any other
+    header field (older files also stamped an ``engine``) is ignored.
 
     The key type is imported lazily to avoid a cycle with
     :mod:`repro.harness.experiment` (which owns :class:`RunKey`).
     """
 
-    def __init__(self, path: str, engine: Optional[str] = None,
-                 placement: Optional[str] = None) -> None:
+    def __init__(self, path: str, placement: Optional[str] = None) -> None:
         self.path = path
-        #: Engine / placement stamps this process will write and check.
-        self.engine = engine
+        #: Placement stamp this process will write and check.
         self.placement = placement
         #: Records appended by this process (not counting loaded ones).
         self.appended = 0
@@ -231,11 +230,10 @@ class SweepCheckpoint:
                       data["scale"], data.get("placement", "static"))
 
     def _header_record(self) -> Optional[Dict]:
-        if self.engine is None and self.placement is None:
+        if self.placement is None:
             return None
         return {"schema": CHECKPOINT_SCHEMA,
-                "header": {"engine": self.engine,
-                           "placement": self.placement}}
+                "header": {"placement": self.placement}}
 
     def truncate(self) -> None:
         """Start the checkpoint over (a sweep not asked to resume)."""
@@ -251,7 +249,7 @@ class SweepCheckpoint:
         A torn trailing record left by an earlier crash is truncated
         first — otherwise this record would share its line and both
         would be lost on the next load.  An empty file gets the
-        engine/placement header before its first record.
+        placement header before its first record.
         """
         record = {
             "schema": CHECKPOINT_SCHEMA,
@@ -282,9 +280,9 @@ class SweepCheckpoint:
         :attr:`skipped` (the run they described is simply re-executed);
         later records for the same key win, matching append order.
 
-        Raises :class:`CheckpointMismatch` when the file carries an
-        engine/placement header disagreeing with this checkpoint's
-        stamps (both sides must be known to conflict).
+        Raises :class:`CheckpointMismatch` when the file carries a
+        placement header disagreeing with this checkpoint's stamp (both
+        sides must be known to conflict).
         """
         restored: Dict = {}
         self.torn_tail = False
@@ -316,13 +314,12 @@ class SweepCheckpoint:
         return restored
 
     def _check_header(self, header: Dict) -> None:
-        """Fail loudly when the stamped environment disagrees with ours."""
-        for field, ours in (("engine", self.engine),
-                            ("placement", self.placement)):
-            theirs = header.get(field)
-            if ours is not None and theirs is not None and ours != theirs:
-                raise CheckpointMismatch(
-                    f"checkpoint {self.path} was written under "
-                    f"{field}={theirs!r} but this sweep resolves "
-                    f"{field}={ours!r}; re-run under the original "
-                    f"environment or start a fresh checkpoint")
+        """Fail loudly when the stamped placement disagrees with ours."""
+        ours = self.placement
+        theirs = header.get("placement")
+        if ours is not None and theirs is not None and ours != theirs:
+            raise CheckpointMismatch(
+                f"checkpoint {self.path} was written under "
+                f"placement={theirs!r} but this sweep resolves "
+                f"placement={ours!r}; re-run under the original "
+                f"environment or start a fresh checkpoint")

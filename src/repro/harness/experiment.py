@@ -578,13 +578,11 @@ class ExperimentRunner:
         if checkpoint:
             from repro.harness.checkpoint import SweepCheckpoint
             from repro.kernel.placement import resolve_placement
-            from repro.machine.engine import resolve_engine
-            # Stamp the checkpoint with the environment the runs will
+            # Stamp the checkpoint with the placement the runs will
             # actually execute under: a resume under a different
-            # $REPRO_ENGINE / $REPRO_PLACEMENT would silently merge
-            # counters from two incompatible configurations.
+            # $REPRO_PLACEMENT would silently merge counters from two
+            # incompatible configurations.
             ckpt = SweepCheckpoint(checkpoint,
-                                   engine=resolve_engine(None).name,
                                    placement=resolve_placement(None))
             if resume:
                 restored = ckpt.load()

@@ -136,21 +136,6 @@ class SimThread:
         self.cycles += cycles
 
 
-class PerLineSimThread(SimThread):
-    """Oracle thread: every access goes through the per-line path.
-
-    Registered for the ``perline`` engine so the differential fuzzer's
-    reference side is an engine selection rather than a special-cased
-    dispatch in the replayer.
-    """
-
-    def access(self, vaddr: int, size: int, is_write: bool) -> int:
-        return self.access_per_line(vaddr, size, is_write)
-
-    def access_block(self, vaddr: int, size: int, is_write: bool) -> int:
-        return self.access_per_line(vaddr, size, is_write)
-
-
 class Process:
     """A managed or native application instance.
 
@@ -176,20 +161,10 @@ class Process:
         self._next_tid = 0
 
     def spawn_thread(self, socket_id: Optional[int] = None) -> SimThread:
-        """Create a thread bound to ``socket_id`` (default: affinity).
-
-        The thread class follows the machine's access engine: the
-        ``perline`` engine routes everything through the oracle walk,
-        and the default ``batched`` engine uses the base class.
-        """
+        """Create a thread bound to ``socket_id`` (default: affinity)."""
         socket = self.affinity_socket if socket_id is None else socket_id
-        machine = self.kernel.machine
-        core_path = machine.make_core(socket)
-        engine = machine.engine
-        thread_cls = SimThread
-        if engine is not None and engine.name == "perline":
-            thread_cls = PerLineSimThread
-        thread = thread_cls(self._next_tid, self, core_path)
+        core_path = self.kernel.machine.make_core(socket)
+        thread = SimThread(self._next_tid, self, core_path)
         self._next_tid += 1
         self.threads.append(thread)
         return thread

@@ -11,7 +11,7 @@ stand-in for PCM latency.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.config import LatencyModel
 from repro.faults.plan import FAULTS
@@ -19,9 +19,6 @@ from repro.machine.cache import CacheLevel
 from repro.machine.memory import MemoryNode, node_of_line
 from repro.observability.trace import TRACER
 from repro.sanitize.invariants import SANITIZE
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.machine.engine import Engine
 
 
 class Socket:
@@ -274,9 +271,6 @@ class NumaMachine:
         self.qpi_crossings = 0
         self._core_caches: Dict[int, int] = {}
         self.private_cache_factory: Optional[Callable[[], CacheLevel]] = None
-        #: The access engine this machine was built with (set by
-        #: ``MachineSpec.build``); ``None`` means the batched default.
-        self.engine: Optional["Engine"] = None
 
     def memory_write(self, line: int) -> None:
         """Route a dirty-line write-back to its home node."""

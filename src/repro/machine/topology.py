@@ -17,7 +17,6 @@ All capacities go through :class:`repro.config.ScaleConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
 
 from repro.config import (
     DEFAULT_LATENCY,
@@ -27,7 +26,6 @@ from repro.config import (
     ScaleConfig,
 )
 from repro.machine.cache import CacheLevel
-from repro.machine.engine import Engine, resolve_engine
 from repro.machine.memory import MemoryNode
 from repro.machine.numa import NumaMachine, Socket
 
@@ -51,16 +49,8 @@ class MachineSpec:
     node_capacity: int
     latency: LatencyModel = DEFAULT_LATENCY
 
-    def build(self, engine: Optional[Union[str, Engine]] = None) -> NumaMachine:
-        """Instantiate the machine described by this spec.
-
-        ``engine`` selects the access engine (name or resolved
-        :class:`Engine`); ``None`` honours ``$REPRO_ENGINE`` and falls
-        back to the default.  The engine decides which thread class
-        drives the caches; counters are bit-identical across engines.
-        """
-        resolved = engine if isinstance(engine, Engine) \
-            else resolve_engine(engine)
+    def build(self) -> NumaMachine:
+        """Instantiate the machine described by this spec."""
         kinds = {DRAM_NODE: "DRAM", PCM_NODE: "PCM"}
         built = []
         for socket_id in range(self.sockets):
@@ -72,7 +62,6 @@ class MachineSpec:
                                 cores=self.cores_per_socket,
                                 hyperthreads=self.hyperthreads))
         machine = NumaMachine(built, self.latency)
-        machine.engine = resolved
         if self.l2_size:
             l2_size, l2_assoc = self.l2_size, self.l2_assoc
             machine.private_cache_factory = lambda: CacheLevel(

@@ -6,7 +6,7 @@ Two instruments, one contract:
   checker (:data:`SANITIZE`).  Hook points across machine/kernel/
   runtime cost one ``is None`` test when it is not installed.
 * :mod:`repro.sanitize.fuzz` — the differential fuzzer: seeded random
-  traces replayed through both the batched engine and the per-line
+  traces replayed through both the access path and the per-line
   oracle on twin machines, with counter comparison and delta-debugging
   trace shrinking.
 

@@ -1,16 +1,17 @@
-"""Differential-oracle fuzzer for the batched access engine.
+"""Differential-oracle fuzzer for the simulator's access path.
 
-PR 2 split the simulator into a batched fast path
-(:meth:`SimThread.access` / :meth:`SimThread.access_block` /
-:meth:`CorePath.access_run`) and a per-line oracle
-(:meth:`SimThread.access_per_line`) whose counters are contractually
-bit-identical.  This module *continuously proves* that contract: it
-generates seeded random traces — mixed read/write accesses at arbitrary
+The simulator has one access path (:meth:`SimThread.access` /
+:meth:`SimThread.access_block` / :meth:`CorePath.access_run`) and a
+per-line oracle (:meth:`SimThread.access_per_line`) whose counters are
+contractually bit-identical.  The oracle is not selectable at run time:
+:func:`per_line_oracle` patches it in for the duration of a ``with``
+block.  This module *continuously proves* the contract: it generates
+seeded random traces — mixed read/write accesses at arbitrary
 alignment and page-straddling sizes, ``mmap``/``munmap``/``mbind``
 interleavings, multi-thread schedules across both sockets, cache drains
 and flushes, and deliberately-faulting operations — and replays each
-trace through both engines on twin machines, comparing full counter
-snapshots at the end.
+trace on twin machines, once normally and once under the oracle,
+comparing full counter snapshots at the end.
 
 On divergence the failing trace is *shrunk* (minimal failing prefix by
 bisection, then greedy op removal) so the report is a handful of
@@ -18,14 +19,14 @@ operations a human can replay by hand, and written out as JSONL.
 
 The invariant sanitizer rides along: replays run the conservation-law
 checks every ``check_every`` operations, so a bug that corrupts *both*
-engines identically (a lost write-back, a leaked frame) is still caught
+replays identically (a lost write-back, a leaked frame) is still caught
 even though the differential comparison cannot see it.
 
 :func:`planted_bug` installs known counter bugs for self-tests and CI:
-``short-block`` makes the batched engine drop the trailing line of
+``short-block`` makes the access path drop the trailing line of
 multi-line blocks (caught by the differential oracle, shrinks to a
 single access), and ``lost-writeback`` makes the machine drop every
-fifth memory write on the floor in both engines (invisible to the
+fifth memory write on the floor in both replays (invisible to the
 differential oracle, caught by the sanitizer's write-conservation law).
 """
 
@@ -41,7 +42,6 @@ from repro.config import PAGE_SIZE
 from repro.faults.plan import FAULTS, FaultPlan
 from repro.kernel.process import SimThread
 from repro.kernel.vm import Kernel
-from repro.machine.engine import engine_names
 from repro.machine.topology import emulation_platform_spec
 from repro.sanitize.invariants import Sanitizer, Violation
 
@@ -195,7 +195,7 @@ def _gen_access(rng: random.Random, mapped: Dict[int, int]) -> TraceOp:
 
 
 def _gen_hostile(rng: random.Random, mapped: Dict[int, int]) -> TraceOp:
-    """An operation that must fail — identically — in both engines."""
+    """An operation that must fail — identically — in both replays."""
     kind = rng.randrange(4)
     if kind == 0:
         # Access straight into the unmapped hole (PageFault), possibly
@@ -226,16 +226,13 @@ def _gen_hostile(rng: random.Random, mapped: Dict[int, int]) -> TraceOp:
 # ----------------------------------------------------------------------
 
 class TraceReplayer:
-    """Replays a trace on a fresh twin machine through one engine.
+    """Replays a trace on a fresh twin machine.
 
-    ``engine`` is any registry engine name (see
-    :func:`repro.machine.engine.engine_names`): the machine is built
-    with that engine and accesses are issued through the plain
-    ``thread.access`` entry point, so each engine's real thread class
-    (batched or per-line oracle) handles them exactly as
-    production code would.  ``"oracle"`` is accepted as an alias for
-    ``"perline"``.  Everything else (kernel calls, drains, flushes) is
-    engine-independent and must leave identical state.
+    Accesses are issued through the plain ``thread.access`` entry
+    point, so they take the production path — or the per-line walk,
+    when replayed inside :func:`per_line_oracle`.  Everything else
+    (kernel calls, drains, flushes) is the same on both sides and must
+    leave identical state.
 
     ``placement`` selects the kernel page-placement policy for the
     replayed process (see :mod:`repro.kernel.placement`); ``tick`` ops
@@ -243,14 +240,9 @@ class TraceReplayer:
     promotion/demotion machinery is fuzzed differentially too.
     """
 
-    def __init__(self, engine: str, placement: str = "static") -> None:
-        if engine == "oracle":
-            engine = "perline"
-        if engine not in engine_names():
-            raise ValueError(f"unknown engine {engine!r}")
-        self.engine = engine
+    def __init__(self, placement: str = "static") -> None:
         self.placement = placement
-        self.machine = emulation_platform_spec().build(engine=engine)
+        self.machine = emulation_platform_spec().build()
         self.kernel = Kernel(self.machine, placement=placement)
         self.process = self.kernel.create_process()
         base_bytes = BASE_PAGES * PAGE_SIZE
@@ -283,7 +275,7 @@ class TraceReplayer:
             raise ValueError(f"unknown op kind {op.kind!r}")
 
     def snapshot(self) -> Dict[str, object]:
-        """Flat counter snapshot for cross-engine comparison."""
+        """Flat counter snapshot for the differential comparison."""
         snap: Dict[str, object] = {}
         for node in self.machine.nodes:
             prefix = f"node{node.node_id}"
@@ -316,23 +308,23 @@ class TraceReplayer:
         return snap
 
 
-def replay(trace: List[TraceOp], engine: str,
+def replay(trace: List[TraceOp],
            fault_plan: Optional[FaultPlan] = None,
            check_every: int = 0, placement: str = "static"
            ) -> Tuple[Dict[str, object], List[Violation]]:
-    """Replay ``trace`` through registry engine ``engine`` on a fresh
-    machine.
+    """Replay ``trace`` on a fresh machine (under :func:`per_line_oracle`
+    for the reference side).
 
     Per-op exceptions are recorded (index, type, message) rather than
-    propagated — both engines must fail the same way, so failures are
+    propagated — both sides must fail the same way, so failures are
     part of the compared snapshot.  ``check_every > 0`` runs the
     invariant sanitizer's machine+kernel laws every that many ops (and
     once at the end); its violations are returned alongside the
     snapshot.  ``fault_plan`` is (re)installed for the duration of the
-    replay, arrivals reset, so faults fire identically per engine.
+    replay, arrivals reset, so faults fire identically on both sides.
     ``placement`` selects the replayed process's page-placement policy.
     """
-    replayer = TraceReplayer(engine, placement=placement)
+    replayer = TraceReplayer(placement=placement)
     sanitizer = Sanitizer()
     sanitizer.strict = False
     if fault_plan is not None:
@@ -363,7 +355,7 @@ def replay(trace: List[TraceOp], engine: str,
 
 def diff_snapshots(candidate: Dict[str, object],
                    reference: Dict[str, object]) -> List[str]:
-    """Names of counters that differ between the two engines."""
+    """Names of counters that differ between the two replays."""
     keys = set(candidate) | set(reference)
     return sorted(k for k in keys if candidate.get(k) != reference.get(k))
 
@@ -379,7 +371,7 @@ def shrink_trace(trace: List[TraceOp],
 
     Phase 1 bisects for the minimal failing *prefix* (divergences are
     monotone in the prefix: once the counters differ, running more
-    identical operations cannot un-differ them — both engines process
+    identical operations cannot un-differ them — both sides process
     the suffix on already-different state).  Phase 2 greedily deletes
     ops from the back while the predicate still fails, bounded by
     ``max_evals`` total predicate evaluations.
@@ -434,26 +426,24 @@ class DivergenceReport:
     predicate_evals: int
     candidate: Dict[str, object]
     reference: Dict[str, object]
-    engines: Tuple[str, str] = ("batched", "perline")
     placement: str = "static"
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "seed": self.seed,
             "trace_ops": self.trace_ops,
-            "engines": list(self.engines),
             "placement": self.placement,
             "keys": self.keys,
             "shrunk": [op.to_dict() for op in self.shrunk],
             "predicate_evals": self.predicate_evals,
-            "diff": {key: {self.engines[0]: repr(self.candidate.get(key)),
-                           self.engines[1]: repr(self.reference.get(key))}
+            "diff": {key: {"candidate": repr(self.candidate.get(key)),
+                           "oracle": repr(self.reference.get(key))}
                      for key in self.keys},
         }
 
     def describe(self) -> str:
         lines = [f"divergence at seed {self.seed} "
-                 f"({self.engines[0]} vs {self.engines[1]}, "
+                 f"(access path vs per-line oracle, "
                  f"{self.trace_ops} ops), {len(self.keys)} counter(s) "
                  f"differ: {', '.join(self.keys[:6])}"
                  + ("..." if len(self.keys) > 6 else ""),
@@ -519,8 +509,6 @@ class DifferentialFuzzer:
                  fault_plan: Optional[FaultPlan] = None,
                  shrink: bool = True, check_every: int = 64,
                  max_shrink_evals: int = 250,
-                 engine: str = "batched",
-                 reference: str = "perline",
                  placement: str = "static",
                  tick_every: int = 0) -> None:
         from repro.kernel.placement import placement_names
@@ -534,11 +522,6 @@ class DifferentialFuzzer:
         self.shrink = shrink
         self.check_every = check_every
         self.max_shrink_evals = max_shrink_evals
-        self.engine = "perline" if engine == "oracle" else engine
-        self.reference = "perline" if reference == "oracle" else reference
-        for name in (self.engine, self.reference):
-            if name not in engine_names():
-                raise ValueError(f"unknown engine {name!r}")
         if placement not in placement_names():
             raise ValueError(
                 f"unknown placement {placement!r}; choose from "
@@ -546,14 +529,20 @@ class DifferentialFuzzer:
         self.placement = placement
         self.tick_every = tick_every
 
+    def _replay_both(self, trace: List[TraceOp], check_every: int = 0):
+        """``(candidate, reference)`` replays; the reference runs under
+        :func:`per_line_oracle`."""
+        candidate = replay(trace, self.fault_plan, check_every,
+                           placement=self.placement)
+        with per_line_oracle():
+            reference = replay(trace, self.fault_plan, check_every,
+                               placement=self.placement)
+        return candidate, reference
+
     def run_trial(self, seed: int) -> FuzzResult:
         trace = generate_trace(seed, self.ops, tick_every=self.tick_every)
-        candidate, violations_c = replay(trace, self.engine,
-                                         self.fault_plan, self.check_every,
-                                         placement=self.placement)
-        reference, violations_r = replay(trace, self.reference,
-                                         self.fault_plan, self.check_every,
-                                         placement=self.placement)
+        (candidate, violations_c), (reference, violations_r) = \
+            self._replay_both(trace, self.check_every)
         result = FuzzResult(seed=seed, ops=self.ops,
                             violations=violations_c + violations_r,
                             placement=self.placement)
@@ -562,10 +551,7 @@ class DifferentialFuzzer:
             return result
 
         def still_fails(shorter: List[TraceOp]) -> bool:
-            snap_c, _ = replay(shorter, self.engine, self.fault_plan,
-                               placement=self.placement)
-            snap_r, _ = replay(shorter, self.reference, self.fault_plan,
-                               placement=self.placement)
+            (snap_c, _), (snap_r, _) = self._replay_both(shorter)
             return bool(diff_snapshots(snap_c, snap_r))
 
         if self.shrink:
@@ -576,8 +562,7 @@ class DifferentialFuzzer:
         result.divergence = DivergenceReport(
             seed=seed, trace_ops=self.ops, keys=keys, shrunk=shrunk,
             predicate_evals=evals, candidate=candidate,
-            reference=reference, engines=(self.engine, self.reference),
-            placement=self.placement)
+            reference=reference, placement=self.placement)
         return result
 
     def run(self, seed: int = 0, trials: int = 1) -> List[FuzzResult]:
@@ -599,8 +584,33 @@ def read_trace_jsonl(path: str) -> List[TraceOp]:
 
 
 # ----------------------------------------------------------------------
-# Planted bugs (self-tests and CI canaries)
+# The per-line oracle and planted bugs (self-tests and CI canaries)
 # ----------------------------------------------------------------------
+
+@contextmanager
+def per_line_oracle():
+    """Route every :class:`SimThread` access through the per-line walk.
+
+    For the duration of the block ``SimThread.access`` and
+    ``SimThread.access_block`` both point at
+    :meth:`SimThread.access_per_line`, so nothing reaches the fused
+    ``CorePath.access_run`` loops.  On exit whatever was installed on
+    entry comes back — a :func:`planted_bug` patch included, so the
+    oracle nests inside ``planted_bug("short-block")`` and the
+    reference side stays clean.  This is the oracle's only way in; the
+    differential fuzzer, the golden-run oracle cases and the hot-path
+    benchmark baseline all go through it.
+    """
+    original_access = SimThread.access
+    original_block = SimThread.access_block
+    SimThread.access = SimThread.access_per_line  # type: ignore[method-assign]
+    SimThread.access_block = SimThread.access_per_line  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        SimThread.access = original_access  # type: ignore[method-assign]
+        SimThread.access_block = original_block  # type: ignore[method-assign]
+
 
 PLANTED_BUGS = ("short-block", "lost-writeback")
 
@@ -610,12 +620,12 @@ def planted_bug(name: str):
     """Temporarily install a known counter bug.
 
     ``short-block``
-        The batched engine silently drops the trailing line of every
+        The access path silently drops the trailing line of every
         multi-line block — a differential divergence the fuzzer must
         catch and shrink to a single access op.
     ``lost-writeback``
         The machine drops every fifth memory write on the floor (per
-        machine, so both engines lose the *same* writes and the
+        machine, so both replays lose the *same* writes and the
         differential comparison stays clean) — only the sanitizer's
         write-conservation law can catch it.
     """

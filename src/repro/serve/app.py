@@ -214,14 +214,12 @@ class ServeApp:
         self.jobs[job.id] = job
         self._by_digest[digest] = job.id
         from repro.kernel.placement import resolve_placement
-        from repro.machine.engine import resolve_engine
-        # Stamp the admission record with the environment the job will
+        # Stamp the admission record with the placement the job will
         # run under, mirroring the sweep-checkpoint header: a restart
-        # under a different $REPRO_ENGINE / $REPRO_PLACEMENT surfaces
-        # in the journal instead of silently re-running differently.
+        # under a different $REPRO_PLACEMENT surfaces in the journal
+        # instead of silently re-running differently.
         self.store.append_event(job.id, "queued",
                                 spec=spec_to_dict(spec), digest=digest,
-                                engine=resolve_engine(None).name,
                                 placement=resolve_placement(None))
         self.queue.offer(job)
         if self._work is not None:

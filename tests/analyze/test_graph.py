@@ -11,7 +11,7 @@ from pathlib import Path
 
 from repro.analyze import LintConfig
 from repro.analyze.engine import ModuleUnderAnalysis
-from repro.analyze.graph import ParamShape, build_project, shape_of
+from repro.analyze.graph import build_project
 
 ALPHA = """\
     from repro.kernel.beta import Widget
@@ -135,11 +135,6 @@ class TestProjectIndex:
         assert kernel.attr_types == {
             "helper": "repro.kernel.beta::Widget"}
 
-    def test_public_methods_exclude_dunders_and_private(self):
-        project = make_project()
-        widget = project.index.classes["repro.kernel.beta::Widget"]
-        assert set(widget.public_methods()) == {"spin"}
-
 
 class TestCallGraphEdges:
     def test_every_provable_edge_kind(self):
@@ -185,36 +180,3 @@ class TestReverseImporters:
     def test_unknown_seed_is_ignored(self):
         project = make_project()
         assert project.index.reverse_importers(["repro.nowhere"]) == set()
-
-
-class TestParamShape:
-    def _shape(self, source, in_class=False):
-        node = ast.parse(textwrap.dedent(source)).body[0]
-        if in_class:
-            node = node.body[0]
-        return shape_of(node, in_class)
-
-    def test_receiver_is_stripped_for_methods(self):
-        shape = self._shape("""\
-            class C:
-                def m(self, a, b=1):
-                    pass
-            """, in_class=True)
-        assert shape == ParamShape(required=1, optional=1, vararg=False,
-                                   kwonly=(), kwarg=False)
-
-    def test_staticmethod_keeps_first_parameter(self):
-        shape = self._shape("""\
-            class C:
-                @staticmethod
-                def m(a):
-                    pass
-            """, in_class=True)
-        assert shape.required == 1
-
-    def test_varargs_and_kwonly_recorded(self):
-        shape = self._shape("def f(a, *rest, mode, **extra):\n    pass\n")
-        assert shape == ParamShape(required=1, optional=0, vararg=True,
-                                   kwonly=("mode",), kwarg=True)
-        assert shape.describe() \
-            == "(1 required, *args, kwonly=mode, **kwargs)"

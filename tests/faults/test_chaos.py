@@ -14,6 +14,8 @@ from repro.faults.worker import ENV_VAR, _KEY_FIELDS, _key_fraction
 from repro.harness.experiment import ExperimentRunner, RetryPolicy, RunKey
 from repro.observability.metrics import METRICS
 
+from tests.pool_watchdog import with_watchdog
+
 COLLECTORS = ["PCM-Only", "KG-N", "KG-B", "KG-N+LOO", "KG-B+LOO", "KG-W",
               "KG-W-LOO", "KG-W-MDO"]
 KEYS = [RunKey("fop", collector, 1, "default", EmulationMode.EMULATION)
@@ -40,8 +42,8 @@ def test_chaos_sweep_completes_with_every_key_accounted(monkeypatch):
     assert doomed, "seed 3 must kill at least one key or the test is moot"
     monkeypatch.setenv(ENV_VAR, SPEC)
     runner = ExperimentRunner()
-    report = runner.sweep(KEYS, max_workers=4,
-                          retry=RetryPolicy(max_attempts=3))
+    report = with_watchdog(lambda: runner.sweep(
+        KEYS, max_workers=4, retry=RetryPolicy(max_attempts=3)))
     assert [outcome.key for outcome in report.outcomes] == KEYS
     assert report.ok, [
         (o.key.collector, o.failure.exception_type) for o in report.failures]

@@ -105,39 +105,50 @@ class TestCheckpointStore:
 
 
 class TestHeaderStamp:
-    """Checkpoints record the engine/placement that produced them; a
-    resume under a different configuration must fail loudly instead of
-    merging incomparable counters."""
+    """Checkpoints record the placement that produced them; a resume
+    under a different placement must fail loudly instead of merging
+    incomparable counters."""
 
     def test_stamp_round_trips(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        store = SweepCheckpoint(path, engine="perline",
-                                placement="migrate")
+        store = SweepCheckpoint(path, placement="migrate")
         store.append(_key(), _result())
-        loader = SweepCheckpoint(path, engine="perline",
-                                 placement="migrate")
+        with open(path, encoding="utf-8") as handle:
+            header = json.loads(handle.readline())["header"]
+        assert header == {"placement": "migrate"}
+        loader = SweepCheckpoint(path, placement="migrate")
         assert list(loader.load()) == [_key()]
 
-    def test_engine_mismatch_raises(self, tmp_path):
+    def _old_engine_stamped_file(self, path, placement):
+        # The header checkpoints carried before the engine stamp was
+        # dropped: both the engine and the placement.
+        header = {"schema": CHECKPOINT_SCHEMA,
+                  "header": {"engine": "perline", "placement": placement}}
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(header, sort_keys=True) + "\n")
+        SweepCheckpoint(path).append(_key(), _result())
+
+    def test_old_engine_stamp_loads_under_matching_placement(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        SweepCheckpoint(path, engine="perline",
-                        placement="static").append(_key(), _result())
-        with pytest.raises(CheckpointMismatch, match="engine"):
-            SweepCheckpoint(path, engine="batched",
-                            placement="static").load()
+        self._old_engine_stamped_file(path, "static")
+        loader = SweepCheckpoint(path, placement="static")
+        assert list(loader.load()) == [_key()]
+
+    def test_old_engine_stamp_still_checks_placement(self, tmp_path):
+        path = str(tmp_path / "ckpt.jsonl")
+        self._old_engine_stamped_file(path, "static")
+        with pytest.raises(CheckpointMismatch, match="placement"):
+            SweepCheckpoint(path, placement="migrate").load()
 
     def test_placement_mismatch_raises(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        SweepCheckpoint(path, engine="batched",
-                        placement="migrate").append(_key(), _result())
+        SweepCheckpoint(path, placement="migrate").append(_key(), _result())
         with pytest.raises(CheckpointMismatch, match="placement"):
-            SweepCheckpoint(path, engine="batched",
-                            placement="static").load()
+            SweepCheckpoint(path, placement="static").load()
 
     def test_unstamped_loader_accepts_any_header(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        SweepCheckpoint(path, engine="perline",
-                        placement="migrate").append(_key(), _result())
+        SweepCheckpoint(path, placement="migrate").append(_key(), _result())
         assert list(SweepCheckpoint(path).load()) == [_key()]
 
     def test_headerless_legacy_file_still_loads(self, tmp_path):
@@ -146,19 +157,16 @@ class TestHeaderStamp:
         # contradict), not invent a mismatch.
         path = str(tmp_path / "ckpt.jsonl")
         SweepCheckpoint(path).append(_key(), _result())
-        loader = SweepCheckpoint(path, engine="batched",
-                                 placement="static")
+        loader = SweepCheckpoint(path, placement="static")
         assert list(loader.load()) == [_key()]
 
     def test_truncate_restamps(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        store = SweepCheckpoint(path, engine="batched",
-                                placement="interleave")
+        store = SweepCheckpoint(path, placement="interleave")
         store.append(_key(), _result())
         store.truncate()
         with pytest.raises(CheckpointMismatch):
-            SweepCheckpoint(path, engine="batched",
-                            placement="static").load()
+            SweepCheckpoint(path, placement="static").load()
 
     def test_key_placement_round_trips(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")

@@ -6,6 +6,8 @@ from repro.core.platform import EmulationMode
 from repro.harness.experiment import ExperimentRunner, RunKey
 from repro.observability.metrics import METRICS
 
+from tests.pool_watchdog import with_watchdog
+
 
 def _key(collector="PCM-Only", placement="static"):
     return RunKey("fop", collector, 1, "default",
@@ -35,7 +37,8 @@ class TestPlacementSweep:
         # The migrate policy runs inside the workers; its migrations
         # must be as deterministic as the mutator's writes, so a pooled
         # fan-out and an in-process serial sweep agree to the line.
-        pooled = ExperimentRunner().sweep(KEYS, max_workers=2)
+        pooled = with_watchdog(
+            lambda: ExperimentRunner().sweep(KEYS, max_workers=2))
         serial = ExperimentRunner().sweep(KEYS, max_workers=1)
         assert _values(pooled.results) == _values(serial.results)
 

@@ -1,8 +1,5 @@
 """Crash-tolerant sweeps: retries, timeouts, degradation, checkpoints."""
 
-import multiprocessing
-import threading
-
 import pytest
 
 from repro.core.platform import EmulationMode
@@ -15,6 +12,8 @@ from repro.harness.experiment import (
     SweepReport,
 )
 from repro.observability.metrics import METRICS
+
+from tests.pool_watchdog import with_watchdog
 
 
 def _key(benchmark="fop", collector="PCM-Only", instances=1):
@@ -33,40 +32,6 @@ def clean_registry():
     METRICS.reset()
     yield
     METRICS.reset()
-
-
-#: Upper bound on a two-worker pool test that normally takes seconds.
-POOL_WATCHDOG_SECONDS = 120.0
-
-
-def _with_watchdog(call, seconds=POOL_WATCHDOG_SECONDS):
-    """Run ``call`` on a helper thread; fail the test if it hangs.
-
-    pytest-timeout is not a dependency, so a process-pool deadlock would
-    otherwise stall the whole suite.  On timeout the pool's worker
-    processes are terminated (which breaks the pool and lets the helper
-    thread unwind) and the test fails with a message.
-    """
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = call()
-        except BaseException as error:  # re-raised on the test thread
-            outcome["error"] = error
-
-    thread = threading.Thread(target=target, name="pool-watchdog",
-                              daemon=True)
-    thread.start()
-    thread.join(seconds)
-    if thread.is_alive():
-        for child in multiprocessing.active_children():
-            child.terminate()
-        pytest.fail(f"process-pool call still running after {seconds:.0f}s;"
-                    f" its workers were terminated (pool hang)")
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome.get("value")
 
 
 def _values(results):
@@ -142,8 +107,8 @@ class TestWorkerCrashRecovery:
         exactly once, in input order."""
         monkeypatch.setenv(ENV_VAR, "crash:collector=KG-B,attempts=1")
         runner = ExperimentRunner()
-        report = runner.sweep(EIGHT, max_workers=4,
-                              retry=RetryPolicy(max_attempts=3))
+        report = with_watchdog(lambda: runner.sweep(
+            EIGHT, max_workers=4, retry=RetryPolicy(max_attempts=3)))
         assert isinstance(report, SweepReport)
         assert [outcome.key for outcome in report.outcomes] == EIGHT
         assert report.ok
@@ -157,8 +122,8 @@ class TestWorkerCrashRecovery:
         serial = ExperimentRunner().sweep(EIGHT[:3], max_workers=1)
         METRICS.reset()
         monkeypatch.setenv(ENV_VAR, "crash:collector=KG-N,attempts=1")
-        chaotic = ExperimentRunner().sweep(EIGHT[:3], max_workers=2,
-                                           retry=RetryPolicy(max_attempts=3))
+        chaotic = with_watchdog(lambda: ExperimentRunner().sweep(
+            EIGHT[:3], max_workers=2, retry=RetryPolicy(max_attempts=3)))
         assert _values(chaotic.results) == _values(serial.results)
 
 
@@ -170,8 +135,8 @@ class TestPersistentFailure:
         inside the worker) yields a failure RunOutcome while its
         siblings return results — the old pool.map path lost them."""
         runner = ExperimentRunner()
-        report = runner.sweep(self.BAD, max_workers=2,
-                              retry=RetryPolicy(max_attempts=2))
+        report = with_watchdog(lambda: runner.sweep(
+            self.BAD, max_workers=2, retry=RetryPolicy(max_attempts=2)))
         assert not report.ok
         assert [outcome.ok for outcome in report.outcomes] == [
             True, False, True]
@@ -184,7 +149,7 @@ class TestPersistentFailure:
     def test_run_many_raises_only_after_siblings_complete(self):
         runner = ExperimentRunner()
         with pytest.raises(KeyError, match="no-such-benchmark"):
-            _with_watchdog(lambda: runner.run_many(
+            with_watchdog(lambda: runner.run_many(
                 self.BAD, max_workers=2, retry=RetryPolicy(max_attempts=1)))
         # Both healthy keys finished and were cached before the raise.
         assert runner.executions == 2
@@ -210,10 +175,9 @@ class TestHangRescue:
         monkeypatch.setenv(
             ENV_VAR, "hang:collector=KG-N,seconds=120,attempts=1")
         runner = ExperimentRunner()
-        report = runner.sweep([_key("fop"), _key("fop", "KG-N"),
-                               _key("fop", "KG-W")], max_workers=2,
-                              retry=RetryPolicy(max_attempts=3),
-                              timeout=8.0)
+        report = with_watchdog(lambda: runner.sweep(
+            [_key("fop"), _key("fop", "KG-N"), _key("fop", "KG-W")],
+            max_workers=2, retry=RetryPolicy(max_attempts=3), timeout=8.0))
         assert report.ok
         hung = next(o for o in report.outcomes
                     if o.key.collector == "KG-N")
@@ -244,7 +208,7 @@ class TestSweepCaching:
     def test_duplicates_and_cached_keys(self):
         runner = ExperimentRunner()
         keys = [EIGHT[0], EIGHT[1], EIGHT[0]]
-        report = runner.sweep(keys, max_workers=2)
+        report = with_watchdog(lambda: runner.sweep(keys, max_workers=2))
         assert report.ok
         assert report.outcomes[2].cached
         assert report.outcomes[0].result is report.outcomes[2].result
@@ -291,10 +255,11 @@ class TestCheckpointResume:
         reference_metrics = _comparable_metrics()
         METRICS.reset()
 
-        ExperimentRunner().sweep(keys[:2], max_workers=2, checkpoint=path)
+        with_watchdog(lambda: ExperimentRunner().sweep(
+            keys[:2], max_workers=2, checkpoint=path))
         METRICS.reset()
-        report = ExperimentRunner().sweep(keys, max_workers=2,
-                                          checkpoint=path, resume=True)
+        report = with_watchdog(lambda: ExperimentRunner().sweep(
+            keys, max_workers=2, checkpoint=path, resume=True))
         assert _values(report.results) == _values(reference.results)
         assert _comparable_metrics() == reference_metrics
 

@@ -6,6 +6,8 @@ from repro.core.platform import EmulationMode
 from repro.harness.experiment import ExperimentRunner, RunKey
 from repro.observability.metrics import METRICS, MetricsRegistry
 
+from tests.pool_watchdog import with_watchdog
+
 
 def _key(benchmark="fop", collector="PCM-Only", instances=1):
     return RunKey(benchmark, collector, instances, "default",
@@ -31,32 +33,35 @@ class TestRunMany:
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = ExperimentRunner().run_many(self.KEYS, max_workers=1)
         METRICS.reset()
-        parallel = ExperimentRunner().run_many(self.KEYS, max_workers=2)
+        parallel = with_watchdog(lambda: ExperimentRunner().run_many(
+            self.KEYS, max_workers=2))
         assert _values(parallel) == _values(serial)
 
     def test_results_come_back_in_input_order(self):
-        results = ExperimentRunner().run_many(self.KEYS, max_workers=2)
+        results = with_watchdog(lambda: ExperimentRunner().run_many(
+            self.KEYS, max_workers=2))
         assert [r.collector for r in results] == ["PCM-Only", "KG-N",
                                                   "PCM-Only"]
 
     def test_duplicates_execute_once_and_count_as_hits(self):
         runner = ExperimentRunner()
-        results = runner.run_many(self.KEYS, max_workers=2)
+        results = with_watchdog(lambda: runner.run_many(
+            self.KEYS, max_workers=2))
         assert runner.executions == 2
         assert runner.cache_hits == 1
         assert results[0] is results[2]
 
     def test_cached_keys_are_served_without_reexecution(self):
         runner = ExperimentRunner()
-        runner.run_many(self.KEYS, max_workers=2)
+        with_watchdog(lambda: runner.run_many(self.KEYS, max_workers=2))
         executions = runner.executions
         again = runner.run_many(self.KEYS, max_workers=2)
         assert runner.executions == executions
         assert _values(again) == _values(runner.run_many(self.KEYS))
 
     def test_worker_metrics_merge_into_parent_registry(self):
-        ExperimentRunner().run_many([_key("fop", "PCM-Only"),
-                                     _key("fop", "KG-N")], max_workers=2)
+        with_watchdog(lambda: ExperimentRunner().run_many(
+            [_key("fop", "PCM-Only"), _key("fop", "KG-N")], max_workers=2))
         serial_snapshot = {
             name: summary
             for name, summary in METRICS.as_dict().items()

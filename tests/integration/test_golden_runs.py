@@ -8,14 +8,14 @@ end-to-end benchmark's ``child.digest`` does.  So the xalan and pr
 KG-W digests are also the seed-0 entries of
 ``benchmarks/e2e/golden.json``.
 
-Comparing the two engines with each other cannot catch a drift in code
-they share (the workload model, the runtime, the random draws), so
-every case is compared against a checked-in digest instead, and the
-fop and xalan cases run under both the ``perline`` oracle and the
-default ``batched`` engine.  The PCM-Only configurations run every
-thread on the PCM socket, and ``migrate`` also moves pages at
-placement safepoints, covering the write-back and migration paths that
-KG-W on its own misses.
+Comparing the access path with the per-line oracle cannot catch a drift
+in code they share (the workload model, the runtime, the random draws),
+so every case is compared against a checked-in digest instead, and the
+fop and xalan cases run both on the default ``batched`` access path
+and under the ``perline`` oracle (:func:`per_line_oracle`).  The
+PCM-Only configurations run every thread on the PCM socket, and
+``migrate`` also moves pages at placement safepoints, covering the
+write-back and migration paths that KG-W on its own misses.
 
 After a deliberate model change, regenerate the file and say why in
 CHANGES.md::
@@ -26,18 +26,21 @@ CHANGES.md::
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
 from repro.harness.checkpoint import result_to_dict
+from repro.sanitize.fuzz import per_line_oracle
 from repro.serve.wire import canonical_result
 from repro.workloads.registry import benchmark_factory
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
 
-#: case name -> (benchmark, collector, placement, engines to run it on).
+#: case name -> (benchmark, collector, placement, access paths to run it
+#: on: "batched" is the default path, "perline" the per-line oracle).
 CASES = {
     "xalan/KG-W": ("xalan", "KG-W", "static", ("perline", "batched")),
     "pr/KG-W": ("pr", "KG-W", "static", ("batched",)),
@@ -51,13 +54,15 @@ REGENERATE = ("PYTHONPATH=src python tests/integration/test_golden_runs.py"
               " --write")
 
 
-def run_payload(case: str, engine: str) -> dict:
-    """The canonical result payload of ``case`` under ``engine``."""
+def run_payload(case: str, path: str) -> dict:
+    """The canonical result payload of ``case`` on access ``path``."""
     benchmark, collector, placement, _ = CASES[case]
     platform = HybridMemoryPlatform(mode=EmulationMode.EMULATION,
-                                    engine=engine, placement=placement)
-    result = platform.run(benchmark_factory(benchmark), collector=collector,
-                          instances=1)
+                                    placement=placement)
+    oracle = per_line_oracle() if path == "perline" else nullcontext()
+    with oracle:
+        result = platform.run(benchmark_factory(benchmark),
+                              collector=collector, instances=1)
     return canonical_result(result_to_dict(result))
 
 
@@ -70,14 +75,14 @@ def load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("case,engine", [
-    (case, engine) for case, spec in CASES.items() for engine in spec[3]])
-def test_whole_run_matches_golden(case, engine):
-    payload = run_payload(case, engine)
+@pytest.mark.parametrize("case,path", [
+    (case, path) for case, spec in CASES.items() for path in spec[3]])
+def test_whole_run_matches_golden(case, path):
+    payload = run_payload(case, path)
     assert payload["pcm_write_lines"] > 0
     expected = load_golden()[case]
     assert digest(payload) == expected, (
-        f"{case} under the {engine} engine no longer reproduces its golden "
+        f"{case} on the {path} path no longer reproduces its golden "
         f"digest: the simulated counters changed.  If the model change is "
         f"deliberate, regenerate {GOLDEN_PATH.name} with `{REGENERATE}` "
         f"and record why in CHANGES.md.")
@@ -92,7 +97,8 @@ def test_default_kgw_digests_match_the_e2e_benchmark_golden_file():
 
 
 def write_golden() -> None:
-    """Recompute every case under the oracle engine and rewrite the file."""
+    """Recompute every case (under the oracle where the case has an
+    oracle leg) and rewrite the file."""
     golden = {case: digest(run_payload(case, CASES[case][3][0]))
               for case in CASES}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True)

@@ -5,9 +5,12 @@ the page table's epoch; it must never serve a stale translation after
 ``munmap``.  ``mmap_bind`` must be all-or-nothing: a mid-range frame
 exhaustion may not leave a half-populated page table or leaked frames.
 
-Every test runs once per access engine: the batched engine's TLB is
-exactly what ``munmap``/``mmap_bind``/reclaim could leave stale.
+Every test runs twice: on the default access path, whose TLB is
+exactly what ``munmap``/``mmap_bind``/reclaim could leave stale, and
+under the per-line oracle.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -20,15 +23,18 @@ from repro.machine.topology import (
     PCM_NODE,
     emulation_platform_spec,
 )
+from repro.sanitize.fuzz import per_line_oracle
 
 BASE = 0x80000
 
 
 @pytest.fixture(params=("perline", "batched"))
 def kernel(request):
-    machine = emulation_platform_spec(
-        DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build(engine=request.param)
-    return Kernel(machine)
+    oracle = per_line_oracle() if request.param == "perline" \
+        else nullcontext()
+    with oracle:
+        yield Kernel(emulation_platform_spec(
+            DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build())
 
 
 class TestTlbInvalidation:

@@ -7,10 +7,12 @@ hook: every resident dirty line reaches memory exactly once at flush,
 reads produce no write-backs at all, and draining private caches before
 a full flush changes nothing.
 
-Every test runs once per access engine (the per-line oracle and the
-batched fused loops): the invariants are properties of the
-architecture, not of any one implementation.
+Every test runs twice, on the default access path (the fused
+``access_run`` loops) and under the per-line oracle: the invariants are
+properties of the architecture, not of any one implementation.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -22,20 +24,23 @@ from repro.machine.topology import (
     PCM_NODE,
     emulation_platform_spec,
 )
+from repro.sanitize.fuzz import per_line_oracle
 
 BASE = 0x40000
 
-ENGINES = ("perline", "batched")
+
+@pytest.fixture(params=("perline", "batched"))
+def access_path(request):
+    """Run the test under the per-line oracle or on the default path."""
+    oracle = per_line_oracle() if request.param == "perline" \
+        else nullcontext()
+    with oracle:
+        yield request.param
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request):
-    return request.param
-
-
-def _thread(pages=4, node=DRAM_NODE, engine=None):
+def _thread(pages=4, node=DRAM_NODE):
     machine = emulation_platform_spec(
-        DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build(engine=engine)
+        DEFAULT_SCALE_CONFIG, DEFAULT_LATENCY).build()
     kernel = Kernel(machine)
     process = kernel.create_process(affinity_socket=0)
     kernel.mmap_bind(process, BASE, pages * PAGE_SIZE, node_id=node)
@@ -53,8 +58,8 @@ def _count_writebacks(machine):
 
 
 class TestFlushExactlyOnce:
-    def test_each_resident_dirty_line_flushes_exactly_once(self, engine):
-        machine, thread = _thread(engine=engine)
+    def test_each_resident_dirty_line_flushes_exactly_once(self, access_path):
+        machine, thread = _thread()
         # 32 dirty lines: fits the 64-line private cache, no evictions.
         for index in range(32):
             thread.access(BASE + index * 64, 64, True)
@@ -64,8 +69,8 @@ class TestFlushExactlyOnce:
         assert set(counts.values()) == {1}
         assert machine.nodes[DRAM_NODE].write_lines == 32
 
-    def test_clean_lines_never_write_back(self, engine):
-        machine, thread = _thread(engine=engine)
+    def test_clean_lines_never_write_back(self, access_path):
+        machine, thread = _thread()
         for index in range(16):
             thread.access(BASE + index * 64, 64, True)
         for index in range(16, 48):  # reads only
@@ -75,8 +80,8 @@ class TestFlushExactlyOnce:
         assert len(counts) == 16
         assert set(counts.values()) == {1}
 
-    def test_drain_then_flush_does_not_double_count(self, engine):
-        machine, thread = _thread(engine=engine)
+    def test_drain_then_flush_does_not_double_count(self, access_path):
+        machine, thread = _thread()
         for index in range(32):
             thread.access(BASE + index * 64, 64, True)
         counts = _count_writebacks(machine)
@@ -86,8 +91,8 @@ class TestFlushExactlyOnce:
         assert len(counts) == 32
         assert set(counts.values()) == {1}
 
-    def test_second_flush_is_a_no_op(self, engine):
-        machine, thread = _thread(engine=engine)
+    def test_second_flush_is_a_no_op(self, access_path):
+        machine, thread = _thread()
         for index in range(32):
             thread.access(BASE + index * 64, 64, True)
         machine.flush_all([thread.core_path])
@@ -95,8 +100,8 @@ class TestFlushExactlyOnce:
         machine.flush_all([thread.core_path])
         assert counts == {}
 
-    def test_rewritten_line_still_flushes_once(self, engine):
-        machine, thread = _thread(engine=engine)
+    def test_rewritten_line_still_flushes_once(self, access_path):
+        machine, thread = _thread()
         for _ in range(5):
             for index in range(32):
                 thread.access(BASE + index * 64, 64, True)
@@ -107,15 +112,15 @@ class TestFlushExactlyOnce:
 
 
 class TestMidBlockFaultParity:
-    """A block that faults mid-way matches the per-line engine state.
+    """A block that faults mid-way matches the per-line oracle's state.
 
-    The batched engine must keep the cache effects of the runs before
-    the fault (the per-line path has already touched the caches with
-    them) and discard the faulting block's cycles.
+    The access path must keep the cache effects of the runs before the
+    fault (the per-line walk has already touched the caches with them)
+    and discard the faulting block's cycles.
     """
 
-    def _partial_block(self, engine):
-        machine, thread = _thread(pages=1, node=PCM_NODE, engine=engine)
+    def _partial_block(self):
+        machine, thread = _thread(pages=1, node=PCM_NODE)
         # Block spans the mapped page and the unmapped one after it.
         with pytest.raises(PageFault):
             thread.access(BASE + PAGE_SIZE - 256, 512, True)
@@ -124,5 +129,7 @@ class TestMidBlockFaultParity:
         return (node.read_lines, node.write_lines, thread.cycles,
                 thread.process.kernel.page_faults)
 
-    def test_mid_block_fault_state_matches_per_line(self, engine):
-        assert self._partial_block(engine) == self._partial_block("perline")
+    def test_mid_block_fault_state_matches_per_line(self, access_path):
+        state = self._partial_block()
+        with per_line_oracle():
+            assert state == self._partial_block()

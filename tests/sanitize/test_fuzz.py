@@ -3,14 +3,18 @@
 import pytest
 
 from repro.config import PAGE_SIZE
+from repro.kernel.process import SimThread
+from repro.machine.numa import CorePath
 from repro.sanitize.fuzz import (
     DRAM_BASE,
     PCM_BASE,
     PLANTED_BUGS,
     DifferentialFuzzer,
     TraceOp,
+    TraceReplayer,
     diff_snapshots,
     generate_trace,
+    per_line_oracle,
     planted_bug,
     read_trace_jsonl,
     replay,
@@ -56,8 +60,9 @@ class TestTraceGeneration:
 class TestReplay:
     def test_engines_agree_on_a_clean_trace(self):
         trace = generate_trace(11, 600)
-        batched, violations_b = replay(trace, "batched", check_every=64)
-        oracle, violations_o = replay(trace, "oracle", check_every=64)
+        batched, violations_b = replay(trace, check_every=64)
+        with per_line_oracle():
+            oracle, violations_o = replay(trace, check_every=64)
         assert diff_snapshots(batched, oracle) == []
         assert violations_b == [] and violations_o == []
 
@@ -70,22 +75,87 @@ class TestReplay:
             TraceOp("access", vaddr=PCM_BASE + 1, size=200,
                     is_write=True),
         ]
-        batched, _ = replay(trace, "batched")
-        oracle, _ = replay(trace, "oracle")
+        batched, _ = replay(trace)
+        with per_line_oracle():
+            oracle, _ = replay(trace)
         assert diff_snapshots(batched, oracle) == []
         names = [entry[1] for entry in batched["exceptions"]]
         assert names == ["PageFault", "MBindError", "PageFault"]
 
-    def test_unknown_engine_rejected(self):
-        from repro.sanitize.fuzz import TraceReplayer
-
-        with pytest.raises(ValueError):
-            TraceReplayer("quantum")
-
     def test_snapshot_covers_both_sockets_and_the_kernel(self):
-        snapshot, _ = replay(generate_trace(5, 200), "batched")
+        snapshot, _ = replay(generate_trace(5, 200))
         assert {"node0.write_lines", "node1.write_lines", "llc0", "llc1",
                 "qpi_crossings", "kernel"} <= set(snapshot)
+
+
+class TestPerLineOracle:
+    """``per_line_oracle()`` must really route through the per-line
+    walk; otherwise every oracle leg silently tests the access path
+    against itself."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"per_line": 0, "access_run": 0}
+        per_line = SimThread.access_per_line
+        access_run = CorePath.access_run
+
+        def spy_per_line(thread, vaddr, size, is_write):
+            counts["per_line"] += 1
+            return per_line(thread, vaddr, size, is_write)
+
+        def spy_access_run(path, first_line, count, is_write):
+            counts["access_run"] += 1
+            return access_run(path, first_line, count, is_write)
+
+        monkeypatch.setattr(SimThread, "access_per_line", spy_per_line)
+        monkeypatch.setattr(CorePath, "access_run", spy_access_run)
+        return counts
+
+    @staticmethod
+    def _touch():
+        """One single-line access, one multi-page access, one block."""
+        thread = TraceReplayer().threads[0]
+        thread.access(DRAM_BASE + 8, 8, True)
+        thread.access(DRAM_BASE + 100, 2 * PAGE_SIZE, False)
+        thread.access_block(PCM_BASE, 256, True)
+
+    def test_accesses_reach_the_per_line_walk_only(self, calls):
+        with per_line_oracle():
+            self._touch()
+        assert calls == {"per_line": 3, "access_run": 0}
+
+    def test_outside_the_oracle_accesses_take_access_run(self, calls):
+        self._touch()
+        assert calls["per_line"] == 0
+        assert calls["access_run"] > 0
+
+    def test_methods_restored_on_exit_and_on_error(self):
+        access = SimThread.access
+        block = SimThread.access_block
+        with per_line_oracle():
+            assert SimThread.access is SimThread.access_per_line
+            assert SimThread.access_block is SimThread.access_per_line
+        assert SimThread.access is access
+        assert SimThread.access_block is block
+        with pytest.raises(RuntimeError):
+            with per_line_oracle():
+                raise RuntimeError("boom")
+        assert SimThread.access is access
+        assert SimThread.access_block is block
+
+    def test_nests_inside_planted_short_block(self, calls):
+        access = SimThread.access
+        block = SimThread.access_block
+        with planted_bug("short-block"):
+            buggy = SimThread.access_block
+            assert buggy is not block
+            with per_line_oracle():
+                self._touch()
+                assert SimThread.access_block is SimThread.access_per_line
+            assert calls == {"per_line": 3, "access_run": 0}
+            assert SimThread.access_block is buggy
+            assert SimThread.access is access
+        assert SimThread.access_block is block
 
 
 class TestFuzzer:
@@ -128,16 +198,17 @@ class TestMigratePlacementFuzz:
 
     def test_engines_agree_under_migrate_with_ticks(self):
         trace = generate_trace(13, 800, tick_every=64)
-        batched, violations_b = replay(trace, "batched", check_every=64,
+        batched, violations_b = replay(trace, check_every=64,
                                        placement="migrate")
-        oracle, violations_o = replay(trace, "oracle", check_every=64,
-                                      placement="migrate")
+        with per_line_oracle():
+            oracle, violations_o = replay(trace, check_every=64,
+                                          placement="migrate")
         assert diff_snapshots(batched, oracle) == []
         assert violations_b == [] and violations_o == []
 
     def test_migrate_snapshot_tracks_migration_counters(self):
         trace = generate_trace(13, 800, tick_every=64)
-        snapshot, _ = replay(trace, "batched", placement="migrate")
+        snapshot, _ = replay(trace, placement="migrate")
         assert "node0.migration_write_lines" in snapshot
         assert "node1.migration_write_lines" in snapshot
         # kernel tuple: (..., pages_migrated, migration_writes)
@@ -171,8 +242,9 @@ class TestPlantedBugs:
         assert report.keys  # names the diverging counters
         # The shrunk trace must still reproduce outside the shrinker.
         with planted_bug("short-block"):
-            batched, _ = replay(report.shrunk, "batched")
-            oracle, _ = replay(report.shrunk, "oracle")
+            batched, _ = replay(report.shrunk)
+            with per_line_oracle():
+                oracle, _ = replay(report.shrunk)
         assert diff_snapshots(batched, oracle)
 
     def test_short_block_report_describes_the_trace(self):

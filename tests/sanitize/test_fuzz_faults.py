@@ -13,6 +13,7 @@ from repro.sanitize.fuzz import (
     TraceOp,
     diff_snapshots,
     generate_trace,
+    per_line_oracle,
     replay,
 )
 
@@ -31,10 +32,11 @@ class TestDifferentialUnderFaults:
     def test_engines_agree_when_a_fault_fires_mid_trace(self):
         plan = deterministic_mmap_plan()
         trace = generate_trace(21, 600)
-        batched, violations_b = replay(trace, "batched", fault_plan=plan,
+        batched, violations_b = replay(trace, fault_plan=plan,
                                        check_every=64)
-        oracle, violations_o = replay(trace, "oracle", fault_plan=plan,
-                                      check_every=64)
+        with per_line_oracle():
+            oracle, violations_o = replay(trace, fault_plan=plan,
+                                          check_every=64)
         assert diff_snapshots(batched, oracle) == []
         assert violations_b == [] and violations_o == []
         # The plan really fired: the failed mmap shows up as a recorded
@@ -56,9 +58,10 @@ class TestDifferentialUnderFaults:
                                       probability=0.4,
                                       error="frame_exhausted")
         trace = generate_trace(33, 500)
-        first, _ = replay(trace, "batched", fault_plan=plan)
-        second, _ = replay(trace, "oracle", fault_plan=plan)
-        third, _ = replay(trace, "batched", fault_plan=plan)
+        first, _ = replay(trace, fault_plan=plan)
+        with per_line_oracle():
+            second, _ = replay(trace, fault_plan=plan)
+        third, _ = replay(trace, fault_plan=plan)
         assert diff_snapshots(first, second) == []
         assert diff_snapshots(first, third) == []
 
@@ -74,13 +77,14 @@ class TestDifferentialUnderFaults:
             TraceOp("access", vaddr=SLOT + 0x8000, size=64,
                     is_write=True),  # must fault
         ]
-        batched, _ = replay(trace, "batched", fault_plan=plan)
-        oracle, _ = replay(trace, "oracle", fault_plan=plan)
+        batched, _ = replay(trace, fault_plan=plan)
+        with per_line_oracle():
+            oracle, _ = replay(trace, fault_plan=plan)
         assert diff_snapshots(batched, oracle) == []
         names = [entry[1] for entry in batched["exceptions"]]
         assert names == ["OutOfPhysicalMemory", "PageFault"]
 
     def test_plan_is_uninstalled_after_replay(self):
-        replay(generate_trace(0, 50), "batched",
+        replay(generate_trace(0, 50),
                fault_plan=deterministic_mmap_plan())
         assert FAULTS.active is None

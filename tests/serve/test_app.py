@@ -6,6 +6,7 @@ exercised without platform runs or subprocesses.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -295,6 +296,44 @@ class TestCrashRecovery:
         assert [job.state for job in jobs] == ["done", "done"]
         assert all(job.recovered for job in jobs)
         assert app.jobs[a["id"]].result is not None
+
+    def test_admission_record_stamps_placement_only(self, tmp_path):
+        app = ServeApp(_config(tmp_path), runner_factory=StubRunner)
+        _, body, _ = app.admit(SPEC)
+        with open(app.store.journal_path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        queued = [r for r in records
+                  if r["job"] == body["id"] and r["state"] == "queued"]
+        assert len(queued) == 1
+        assert queued[0]["placement"] == "static"
+        assert "engine" not in queued[0]
+
+    def test_journal_with_old_engine_stamp_recovers(self, tmp_path):
+        # Journals written before the engine stamp was dropped carry
+        # engine="perline"/"batched" on their queued records; replay
+        # must neither read it nor trip over it.
+        first = ServeApp(_config(tmp_path), runner_factory=StubRunner)
+        _, a, _ = first.admit(SPEC)
+        path = first.store.journal_path
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        for record in records:
+            if record["state"] == "queued":
+                record["engine"] = "perline"
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+        async def restart():
+            app = ServeApp(_config(tmp_path), runner_factory=StubRunner)
+            await app.start()
+            job = await _wait_terminal(app, a["id"])
+            await app.stop()
+            return job
+
+        job = _run(restart())
+        assert job.state == "done"
+        assert job.recovered
 
     def test_running_job_requeues_on_restart(self, tmp_path):
         config = _config(tmp_path)

@@ -34,6 +34,21 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "-c", "KG-XYZ"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "-b", "fop", "-c", "KG-W", "--engine", "perline"],
+        ["stats", "-b", "fop", "--engine", "batched"],
+        ["profile", "-b", "fop", "--engine", "perline"],
+        ["sanitize", "--engine", "batched"],
+        ["sanitize", "--reference", "perline"],
+    ])
+    def test_no_engine_option_is_left(self, argv, capsys):
+        # One access path: the per-line oracle is a test tool, not an
+        # option, so argparse rejects every way to choose an engine.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_reproduce_table1(self, capsys):
