@@ -148,7 +148,7 @@ class Collector:
         # Scan remembered-set sources: old objects that may reference
         # young ones.  Reading their reference slots is real traffic.
         for src in vm.remset:
-            vm.gc_thread().access_block(
+            vm.gc_thread().access(
                 src.addr, HEADER_BYTES + REF_BYTES * len(src.refs), False)
             stack.extend(ref for ref in src.refs if ref is not None)
         while stack:
@@ -168,14 +168,14 @@ class Collector:
                 # the remembered set covers old-to-young references.
                 continue
             if obj.refs:
-                vm.gc_thread().access_block(
+                vm.gc_thread().access(
                     obj.addr, HEADER_BYTES + REF_BYTES * len(obj.refs), False)
                 stack.extend(ref for ref in obj.refs if ref is not None)
         return nursery_live, observer_live
 
     def _promote_nursery(self, vm: "JavaVM", obj: Obj) -> None:
         thread = vm.gc_thread()
-        thread.access_block(obj.addr, obj.size, False)
+        thread.access(obj.addr, obj.size, False)
         if obj.is_large:
             self._adopt_with_retry(vm, vm.heap.space("large.pcm"), obj)
         else:
@@ -190,7 +190,7 @@ class Collector:
                         vm, vm.heap.space("mature.pcm"), obj)
             else:
                 self._adopt_with_retry(vm, target, obj)
-        thread.access_block(obj.addr, obj.size, True)
+        thread.access(obj.addr, obj.size, True)
         obj.age += 1
         vm.stats.bytes_copied += obj.size
         vm.stats.objects_promoted += 1
@@ -201,9 +201,9 @@ class Collector:
                        if self.config.dram_mature and obj.write_count > 0
                        else "mature.pcm")
         thread = vm.gc_thread()
-        thread.access_block(obj.addr, obj.size, False)
+        thread.access(obj.addr, obj.size, False)
         self._adopt_with_retry(vm, vm.heap.space(target_name), obj)
-        thread.access_block(obj.addr, obj.size, True)
+        thread.access(obj.addr, obj.size, True)
         obj.age += 1
         vm.stats.bytes_copied += obj.size
 
@@ -248,9 +248,8 @@ class Collector:
                 marked += 1
                 thread = vm.gc_thread()
                 num_refs = len(obj.refs)
-                thread.access_block(obj.addr,
-                                    HEADER_BYTES + REF_BYTES * num_refs,
-                                    False)
+                thread.access(obj.addr, HEADER_BYTES + REF_BYTES * num_refs,
+                              False)
                 thread.access(heap.mark_addr(obj), 1, True)
                 if num_refs:
                     stack.extend(ref for ref in obj.refs if ref is not None)

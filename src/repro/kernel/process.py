@@ -43,14 +43,23 @@ class SimThread:
         return self.core_path.socket.socket_id
 
     def access(self, vaddr: int, size: int, is_write: bool) -> int:
-        """Touch ``size`` bytes at ``vaddr``; returns cycles spent."""
+        """Touch ``size`` bytes at ``vaddr``; returns cycles spent.
+
+        A touch inside one virtual page is one TLB probe and one
+        ``access_run`` over its lines; page-crossing touches go through
+        :meth:`access_block`.
+        """
         first = vaddr >> 6
-        if first != (vaddr + size - 1) >> 6:
-            return self.access_block(vaddr, size, is_write)
-        # Single-line fast path: one TLB probe, then a one-line run
-        # (access_run exits early when the line hits the private cache).
-        table = self.process.page_table
+        last = (vaddr + size - 1) >> 6
+        if last < first:
+            # An empty touch covers no line: no fault, no TLB update.
+            return 0
         vpage = first >> LINES_PER_PAGE_SHIFT
+        if vpage != last >> LINES_PER_PAGE_SHIFT:
+            return self.access_block(vaddr, size, is_write)
+        # Single-page fast path: one TLB probe, then one run over every
+        # line of the touch (access_run exits early on private hits).
+        table = self.process.page_table
         if vpage != self._tlb_vpage or table.epoch != self._tlb_epoch:
             base = table.line_base_map.get(vpage)
             if base is None:
@@ -62,7 +71,8 @@ class SimThread:
             self._tlb_base = base
             self._tlb_epoch = table.epoch
         cycles = self.core_path.access_run(
-            self._tlb_base + (first & LINE_OFFSET_MASK), 1, is_write)
+            self._tlb_base + (first & LINE_OFFSET_MASK), last - first + 1,
+            is_write)
         self.cycles += cycles
         return cycles
 

@@ -8,7 +8,9 @@ Implementation notes: each set is a plain ``dict`` mapping tag to dirty
 flag.  CPython dicts preserve insertion order, so LRU is "pop and
 re-insert on hit, evict first key on overflow" — all C-level operations,
 which keeps the per-access cost low enough to push millions of accesses
-through the simulator.
+through the simulator.  The first key is read with ``for tag in
+cache_set: break``, which, unlike ``next(iter(cache_set))``, makes no
+call.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ class CacheLevel:
         victim_line: Optional[int] = None
         victim_dirty = False
         if len(cache_set) >= self.assoc:
-            victim_tag = next(iter(cache_set))
+            for victim_tag in cache_set:
+                break
             victim_dirty = cache_set.pop(victim_tag)
             victim_line = victim_tag * self.num_sets + set_index
             stats.evictions += 1
@@ -185,7 +188,8 @@ class CacheLevel:
                 hits += 1
                 continue
             if len(cache_set) >= assoc:
-                victim_tag = next(iter(cache_set))
+                for victim_tag in cache_set:
+                    break
                 evictions += 1
                 if cache_set.pop(victim_tag):
                     dirty_victims.append(victim_tag * num_sets + set_index)
@@ -212,7 +216,8 @@ class CacheLevel:
         victim_line: Optional[int] = None
         victim_dirty = False
         if len(cache_set) >= self.assoc:
-            victim_tag = next(iter(cache_set))
+            for victim_tag in cache_set:
+                break
             victim_dirty = cache_set.pop(victim_tag)
             victim_line = victim_tag * self.num_sets + set_index
             self.stats.evictions += 1

@@ -21,6 +21,10 @@ from repro.config import LINE_SIZE, PAGE_SHIFT, PAGE_SIZE
 NODE_SHIFT = 40
 #: Same boundary expressed in line-address space.
 NODE_LINE_SHIFT = NODE_SHIFT - 6
+#: Line address -> frame number: shift out the line-in-page bits, then
+#: mask off the node id.
+LINE_FRAME_SHIFT = PAGE_SHIFT - 6
+FRAME_MASK = (1 << (NODE_SHIFT - PAGE_SHIFT)) - 1
 
 
 class OutOfPhysicalMemory(MemoryError):
@@ -106,10 +110,6 @@ class MemoryNode:
         """Attribute future writes to ``frame`` to heap space ``tag``."""
         self._page_tags[frame] = tag
 
-    def tag_of_line(self, line: int) -> Optional[str]:
-        frame = (line << 6) >> PAGE_SHIFT & ((1 << (NODE_SHIFT - PAGE_SHIFT)) - 1)
-        return self._page_tags.get(frame)
-
     def tag_of_frame(self, frame: int) -> Optional[str]:
         """Attribution tag of ``frame`` (carried across migrations)."""
         return self._page_tags.get(frame)
@@ -120,7 +120,9 @@ class MemoryNode:
     def record_write(self, line: int) -> None:
         """Count one dirty-line write-back landing on this node."""
         self.write_lines += 1
-        tag = self.tag_of_line(line)
+        # The line's frame number within this node, looked up inline:
+        # this runs once per dirty write-back.
+        tag = self._page_tags.get(line >> LINE_FRAME_SHIFT & FRAME_MASK)
         if tag is not None:
             self.writes_by_tag[tag] = self.writes_by_tag.get(tag, 0) + 1
 

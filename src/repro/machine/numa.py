@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 from repro.config import LatencyModel
 from repro.faults.plan import FAULTS
 from repro.machine.cache import CacheLevel
-from repro.machine.memory import MemoryNode, node_of_line
+from repro.machine.memory import NODE_LINE_SHIFT, MemoryNode, node_of_line
 from repro.observability.trace import TRACER
 from repro.sanitize.invariants import SANITIZE
 
@@ -113,13 +113,14 @@ class CorePath:
             misses = count - hits
             cycles = hits * latency.llc_hit
             if misses:
-                node = machine.nodes[node_of_line(first_line)]
+                node = machine.nodes[first_line >> NODE_LINE_SHIFT]
                 remote = node.node_id != self.socket.memory.node_id
                 # record_read() only increments, so batch the increment.
                 node.read_lines += misses
                 if remote:
                     machine.qpi_crossings += misses
-                cycles += misses * latency.memory_latency(remote=remote)
+                cycles += misses * (latency.remote_dram if remote
+                                    else latency.local_dram)
             return cycles
 
         # Fused private + LLC + memory routing.  This deliberately works
@@ -158,7 +159,8 @@ class CorePath:
                 # may displace a dirty LLC line to memory), allocate,
                 # then issue the demand read to the LLC.
                 if len(cache_set) >= p_assoc:
-                    victim_tag = next(iter(cache_set))
+                    for victim_tag in cache_set:
+                        break
                     p_evictions += 1
                     if cache_set.pop(victim_tag):
                         p_dirty += 1
@@ -168,7 +170,8 @@ class CorePath:
                         wb_tag = victim // l_num
                         if wb_set.pop(wb_tag, None) is None:
                             if len(wb_set) >= l_assoc:
-                                out_tag = next(iter(wb_set))
+                                for out_tag in wb_set:
+                                    break
                                 l_evictions += 1
                                 if wb_set.pop(out_tag):
                                     l_dirty += 1
@@ -185,7 +188,8 @@ class CorePath:
                     l_hits += 1
                 else:
                     if len(l_set) >= l_assoc:
-                        out_tag = next(iter(l_set))
+                        for out_tag in l_set:
+                            break
                         l_evictions += 1
                         if l_set.pop(out_tag):
                             l_dirty += 1
@@ -223,9 +227,11 @@ class CorePath:
                 l_stats.dirty_evictions += l_dirty
         if l_misses:
             l_stats.misses += l_misses
-            node = machine.nodes[node_of_line(first_line)]
+            node = machine.nodes[first_line >> NODE_LINE_SHIFT]
             remote = node.node_id != self.socket.memory.node_id
-            cycles += l_misses * latency.memory_latency(remote=remote)
+            # LatencyModel.memory_latency inlined (one frame per run).
+            cycles += l_misses * (latency.remote_dram if remote
+                                  else latency.local_dram)
             node.read_lines += l_misses
             if remote:
                 machine.qpi_crossings += l_misses
@@ -274,7 +280,7 @@ class NumaMachine:
 
     def memory_write(self, line: int) -> None:
         """Route a dirty-line write-back to its home node."""
-        self.nodes[node_of_line(line)].record_write(line)
+        self.nodes[line >> NODE_LINE_SHIFT].record_write(line)
         for listener in self.write_listeners:
             listener(line)
 

@@ -303,13 +303,22 @@ class MutatorContext:
         if is_large:
             obj = vm.collector.allocate_large(vm, size, num_refs, thread)
         else:
-            obj = self._alloc_nursery(size, num_refs)
+            # ContiguousSpace.allocate inlined: the bump usually fits,
+            # and only an exhausted nursery takes the GC loop.
+            nursery = vm.nursery
+            addr = nursery.bump
+            if addr + size <= nursery.end:
+                nursery.bump = addr + size
+                obj = Obj(addr, size, num_refs, nursery.name)
+                nursery.objects.append(obj)
+            else:
+                obj = self._alloc_nursery(size, num_refs)
         if vm.write_profiler is not None:
             obj.context = vm.write_profiler.context_key(scalar_bytes,
                                                         num_refs, is_large)
             vm.write_profiler.note_allocation(obj)
         # Zero-initialisation: Java writes the whole object up front.
-        thread.access_block(obj.addr, obj.size, True)
+        thread.access(obj.addr, obj.size, True)
         stats = vm.stats
         stats.bytes_allocated += size
         stats.objects_allocated += 1
@@ -321,16 +330,18 @@ class MutatorContext:
         return obj
 
     def _alloc_nursery(self, size: int, num_refs: int) -> Obj:
+        """Slow path once the inline bump has failed: collect the
+        nursery until the object fits."""
         vm = self.vm
         nursery = vm.nursery
-        obj = nursery.allocate(size, num_refs)
-        while obj is None:
+        while True:
             vm.minor_collect()
             obj = nursery.allocate(size, num_refs)
-            if obj is None and size > nursery.size:
+            if obj is not None:
+                return obj
+            if size > nursery.size:
                 raise OutOfMemoryError(
                     f"object of {size} B cannot fit the nursery")
-        return obj
 
     # -- field access -------------------------------------------------------
     def write_ref(self, obj: Obj, slot: int, value: Optional[Obj]) -> None:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.config import KB, LatencyModel, MB
+from repro.config import KB, PAGE_SHIFT, PAGE_SIZE, LatencyModel, MB
 from repro.machine.cache import CacheLevel
-from repro.machine.memory import MemoryNode
+from repro.machine.memory import NODE_LINE_SHIFT, NODE_SHIFT, MemoryNode
 from repro.machine.numa import NumaMachine, Socket
 
 from tests.conftest import build_test_machine
@@ -105,6 +105,52 @@ class TestMachine:
         # Socket 1's LLC does not hold socket 0's line.
         cost = core1.access_line(line, False)
         assert cost == machine.latency.remote_dram
+
+
+class TestWriteBackAttribution:
+    """record_write finds the written line's frame tag inline; pin it
+    through the machine's routing and through the node itself."""
+
+    @staticmethod
+    def write(machine, route, line):
+        if route == "machine":
+            machine.memory_write(line)
+        else:
+            machine.nodes[line >> NODE_LINE_SHIFT].record_write(line)
+
+    @pytest.mark.parametrize("route", ["machine", "node"])
+    def test_node1_line_gets_its_own_frame_tag(self, machine, route):
+        dram, pcm = machine.nodes
+        dram.tag_frame(dram.allocate_frame(), "nursery")
+        frame = pcm.allocate_frame()
+        pcm.tag_frame(frame, "mature.pcm")
+        # Same frame number on both nodes: only node 1's tag applies.
+        assert frame == 0
+        self.write(machine, route, (pcm.frame_to_paddr(frame) >> 6) + 5)
+        assert pcm.writes_by_tag == {"mature.pcm": 1}
+        assert dram.writes_by_tag == {}
+        assert (dram.write_lines, pcm.write_lines) == (0, 1)
+
+    @pytest.mark.parametrize("route", ["machine", "node"])
+    def test_high_frame_number_gets_that_frames_tag(self, machine, route):
+        pcm = machine.nodes[1]
+        high = (1 << (NODE_SHIFT - PAGE_SHIFT)) - 1  # widest frame number
+        pcm.tag_frame(high, "large.pcm")
+        pcm.tag_frame(high & 0xFFFF, "low")  # would alias a narrow mask
+        last_line = (pcm.frame_to_paddr(high) >> 6) + PAGE_SIZE // 64 - 1
+        self.write(machine, route, last_line)
+        assert pcm.writes_by_tag == {"large.pcm": 1}
+
+    @pytest.mark.parametrize("route", ["machine", "node"])
+    def test_freed_then_reallocated_frame_is_untagged(self, machine, route):
+        pcm = machine.nodes[1]
+        frame = pcm.allocate_frame()
+        pcm.tag_frame(frame, "observer")
+        pcm.free_frame(frame)
+        assert pcm.allocate_frame() == frame
+        self.write(machine, route, pcm.frame_to_paddr(frame) >> 6)
+        assert pcm.write_lines == 1
+        assert pcm.writes_by_tag == {}
 
 
 # ----------------------------------------------------------------------
