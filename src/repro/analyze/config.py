@@ -118,6 +118,7 @@ DEFAULT_COUNTERS: Dict[str, List[str]] = {
 DEFAULT_COUNTER_MUTATORS: Tuple[str, ...] = (
     "repro.machine.numa::CorePath.access_line",
     "repro.machine.numa::CorePath.access_run",
+    "repro.kernel.process::SimThread.access",
 )
 
 #: Functions allowed to touch another object's private attributes —

@@ -179,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(0 disables; default: 64)")
     sanitize.add_argument("--plant", default=None, metavar="BUG",
                           help="install a known bug first (self-test): "
-                               "short-block or lost-writeback")
+                               "short-block, clean-write or "
+                               "lost-writeback")
     sanitize.add_argument("--out", default="divergence-trace.jsonl",
                           help="where to write the shrunk trace of the "
                                "first divergence (JSONL)")

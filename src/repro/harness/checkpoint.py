@@ -174,6 +174,38 @@ def result_from_dict(data: Dict) -> MeasurementResult:
     )
 
 
+# ----------------------------------------------------------------------
+# Canonical forms: the simulated counters without host timing
+# ----------------------------------------------------------------------
+
+#: Metric-name prefixes/suffixes stripped by :func:`canonical_metrics`:
+#: host timing and harness/service bookkeeping, none of which is
+#: deterministic across executions.
+_NONCANONICAL_PREFIXES = ("runner.", "serve.")
+_NONCANONICAL_SUFFIXES = ("host_seconds",)
+
+#: Result fields stripped by :func:`canonical_result` (host-dependent).
+_NONCANONICAL_RESULT_FIELDS = ("host_seconds", "profile")
+
+
+def canonical_metrics(snapshot: Dict[str, Dict]) -> Dict[str, Dict]:
+    """Strip host-timing and bookkeeping entries from a metrics dump."""
+    return {name: value for name, value in sorted(snapshot.items())
+            if not name.startswith(_NONCANONICAL_PREFIXES)
+            and not name.endswith(_NONCANONICAL_SUFFIXES)}
+
+
+def canonical_result(result_dict: Dict) -> Dict:
+    """Strip host-dependent fields from a serialised result.
+
+    What remains is the simulated counters, bit-identical for identical
+    inputs: the golden digests, the end-to-end benchmark and the
+    service all compare this form.
+    """
+    return {field: value for field, value in result_dict.items()
+            if field not in _NONCANONICAL_RESULT_FIELDS}
+
+
 class CheckpointMismatch(ValueError):
     """A checkpoint was written under a different placement policy.
 

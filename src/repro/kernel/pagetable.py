@@ -33,19 +33,14 @@ class PageTable:
     def __init__(self) -> None:
         #: vpage -> physical line base (paddr >> 6 of the frame start).
         #: A plain attribute so the hot access loops translate with one
-        #: dict lookup; only this class mutates it.
+        #: dict lookup; only this class mutates it, always in place, so
+        #: threads may bind it once.
         self.line_base_map: Dict[int, int] = {}
         # vpage -> (node_id, frame) for unmapping and introspection
         self._entries: Dict[int, Tuple[int, int]] = {}
         # vpage -> attribution tag for ranges bound but not yet backed
         # (lazy placement policies); populated pages move to _entries.
         self._reserved: Dict[int, Optional[str]] = {}
-        #: Translation epoch, bumped whenever an existing translation
-        #: becomes invalid (unmap).  Per-thread software TLBs compare it
-        #: before trusting a cached vpage -> line-base entry; new
-        #: mappings never invalidate old ones (remapping is an error),
-        #: so only :meth:`unmap_page` bumps it.
-        self.epoch = 0
 
     def map_page(self, vpage: int, node_id: int, frame: int,
                  frame_paddr: int) -> None:
@@ -103,7 +98,6 @@ class PageTable:
         if entry is None:
             raise PageFault(vpage << PAGE_SHIFT)
         del self.line_base_map[vpage]
-        self.epoch += 1
         return entry
 
     def is_mapped(self, vpage: int) -> bool:

@@ -194,11 +194,10 @@ class Kernel:
         the physical line base of the new frame returns so the access
         continues) or raises :class:`PageFault` for a genuinely
         unbound address — with ``vaddr`` verbatim, so fault messages
-        stay byte-identical across engines.
-
-        No engine barrier here: populating adds a brand-new translation
-        (never invalidates one), and any queued runs against previously
-        freed frames were flushed by the unmap path's own barrier.
+        stay byte-identical between the access path and the per-line
+        oracle.  Populating adds a brand-new entry to the page table's
+        translation dict, which the access paths see on their next
+        lookup.
         """
         self.count_page_fault()
         page_table = process.page_table
@@ -230,8 +229,9 @@ class Kernel:
         listeners so PCM wear is charged.  The call is atomic: the
         fault hook fires and the destination frame allocates before
         any counter moves, so an injected failure or exhaustion leaves
-        no partial migration behind.  Remapping bumps the page-table
-        epoch, invalidating every thread's software TLB.
+        no partial migration behind.  The access paths translate with
+        one page-table lookup per touch, so the remap takes effect on
+        the next touch.
         """
         if not 0 <= dest_node_id < len(self.machine.nodes):
             raise MBindError(f"no such NUMA node: {dest_node_id}")
@@ -263,7 +263,7 @@ class Kernel:
                 migration_write(base + offset)
         finally:
             TRACER.pop(span)
-        page_table.unmap_page(vpage)  # epoch bump -> TLB invalidation
+        page_table.unmap_page(vpage)
         src_node.free_frame(src_frame)
         page_table.map_page(vpage, dest_node_id, frame, frame_paddr)
         process.placement.note_migrated(vpage, src_node_id, src_frame,
@@ -281,10 +281,11 @@ class Kernel:
         """Placement safepoint: let tick-driven policies migrate.
 
         Called once per scheduler round by the platform (and by the
-        fuzzer's ``tick`` op).  Synchronises the engines first so the
-        policies' write counts — fed per line from the write stream —
-        are complete and identical across engines before any decision
-        is made; a no-op when no registered policy needs ticks.
+        fuzzer's ``tick`` op).  The policies' write counts are fed per
+        line from the write stream at the point of each write-back, so
+        they are complete and identical between the access path and the
+        per-line oracle before any decision is made; a no-op when no
+        registered policy needs ticks.
         """
         if not self._tick_policies:
             return

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.config import LatencyModel
 from repro.faults.plan import FAULTS
-from repro.machine.cache import CacheLevel
+from repro.machine.cache import CacheLevel, CacheStats
 from repro.machine.memory import NODE_LINE_SHIFT, MemoryNode, node_of_line
 from repro.observability.trace import TRACER
 from repro.sanitize.invariants import SANITIZE
@@ -48,11 +48,38 @@ class CorePath:
     routes dirty evictions to the owning memory node's counters.
     """
 
+    # Bound only when the core has a private cache.
+    p_sets: List[Dict[int, bool]]
+    p_num: int
+    p_assoc: int
+    p_stats: CacheStats
+
     def __init__(self, machine: "NumaMachine", socket: Socket,
                  private: Optional[CacheLevel]) -> None:
         self.machine = machine
         self.socket = socket
         self.private = private
+        # The hot fields, bound once: none of them is reassigned after
+        # CacheLevel.__init__ or NumaMachine.__init__, so the access
+        # loops (access_run and the one-line path in SimThread.access)
+        # read plain attributes and set nothing up per call.
+        llc = socket.llc
+        self.l_sets = llc._sets
+        self.l_num = llc.num_sets
+        self.l_assoc = llc.assoc
+        self.l_stats = llc.stats
+        if private is not None:
+            self.p_sets = private._sets
+            self.p_num = private.num_sets
+            self.p_assoc = private.assoc
+            self.p_stats = private.stats
+        latency = machine.latency
+        self.l2_hit = latency.l2_hit
+        self.llc_hit = latency.llc_hit
+        self.local_dram = latency.local_dram
+        self.remote_dram = latency.remote_dram
+        self.home_node = socket.memory.node_id
+        self.nodes = machine.nodes
 
     def access_line(self, line: int, is_write: bool) -> int:
         """Access one physical cache line; returns cycles spent."""
@@ -93,34 +120,31 @@ class CorePath:
         propagation are fused into one Python frame per run instead of
         three frames per line.  Callers must keep a run inside one
         physical frame (the batched page-table walk does), so the whole
-        run has a single home node.
+        run has a single home node.  ``SimThread.access`` runs the
+        ``count == 1`` sequence inline for its one-line touches on a
+        core with a private cache.
 
-        Most runs are one to three lines, so per-call setup matters as
-        much as the loop: the LLC, latency and node state are set up
-        only once a line misses the private cache, and only the stats
-        that moved are added.
+        Only the stats that moved are added, once, after the run.
         """
         if count <= 0:
             return 0
-        private = self.private
         machine = self.machine
-        if private is None:
+        if self.private is None:
             hits, dirty_victims = self.socket.llc.access_run(
                 first_line, count, is_write)
             for victim in dirty_victims:
                 machine.memory_write(victim)
-            latency = machine.latency
             misses = count - hits
-            cycles = hits * latency.llc_hit
+            cycles = hits * self.llc_hit
             if misses:
-                node = machine.nodes[first_line >> NODE_LINE_SHIFT]
-                remote = node.node_id != self.socket.memory.node_id
+                node = self.nodes[first_line >> NODE_LINE_SHIFT]
                 # record_read() only increments, so batch the increment.
                 node.read_lines += misses
-                if remote:
+                if node.node_id != self.home_node:
                     machine.qpi_crossings += misses
-                cycles += misses * (latency.remote_dram if remote
-                                    else latency.local_dram)
+                    cycles += misses * self.remote_dram
+                else:
+                    cycles += misses * self.local_dram
             return cycles
 
         # Fused private + LLC + memory routing.  This deliberately works
@@ -132,28 +156,25 @@ class CorePath:
         # latency is a pure function of the hit/miss classification).
         # Private set indices advance incrementally (consecutive lines
         # walk consecutive sets), so the hit path has no div/mod either.
-        p_sets = private._sets
-        p_num = private.num_sets
+        # Write-backs call machine.memory_write at the point of use, so
+        # a patched NumaMachine.memory_write (the lost-writeback canary)
+        # is always honoured.
+        p_sets = self.p_sets
+        p_num = self.p_num
+        p_assoc = self.p_assoc
+        l_sets = self.l_sets
+        l_num = self.l_num
+        l_assoc = self.l_assoc
         p_si = first_line % p_num
         p_tag = first_line // p_num
-        llc = None
+        p_misses = p_evictions = p_dirty = 0
+        l_hits = l_evictions = l_dirty = 0
         for line in range(first_line, first_line + count):
             cache_set = p_sets[p_si]
             dirty = cache_set.pop(p_tag, None)
             if dirty is not None:
                 cache_set[p_tag] = dirty or is_write
             else:
-                if llc is None:
-                    # First private miss of the run: only now set up
-                    # the LLC side.  Write-backs call
-                    # machine.memory_write at the point of use, so a
-                    # patched NumaMachine.memory_write (the
-                    # lost-writeback canary) is always honoured.
-                    llc = self.socket.llc
-                    p_assoc = private.assoc
-                    l_sets, l_num, l_assoc = llc._sets, llc.num_sets, llc.assoc
-                    p_misses = p_evictions = p_dirty = 0
-                    l_hits = l_evictions = l_dirty = 0
                 p_misses += 1
                 # Private miss: evict (write-back into the LLC, which
                 # may displace a dirty LLC line to memory), allocate,
@@ -199,42 +220,36 @@ class CorePath:
             if p_si == p_num:
                 p_si = 0
                 p_tag += 1
-        if llc is None:
-            # Every line hit the private cache.
-            private.stats.hits += count
-            return count * machine.latency.l2_hit
-        latency = machine.latency
+        p_stats = self.p_stats
         p_hits = count - p_misses
-        l_misses = p_misses - l_hits
-        cycles = p_hits * latency.l2_hit
-        # Only the stats that moved are added: p_misses >= 1 here, the
-        # rest are often zero on short runs.
-        p_stats = private.stats
+        cycles = p_hits * self.l2_hit
         if p_hits:
             p_stats.hits += p_hits
+        if not p_misses:
+            return cycles  # every line hit the private cache
+        l_misses = p_misses - l_hits
         p_stats.misses += p_misses
         if p_evictions:
             p_stats.evictions += p_evictions
             if p_dirty:
                 p_stats.dirty_evictions += p_dirty
-        l_stats = llc.stats
+        l_stats = self.l_stats
         if l_hits:
             l_stats.hits += l_hits
-            cycles += l_hits * latency.llc_hit
+            cycles += l_hits * self.llc_hit
         if l_evictions:
             l_stats.evictions += l_evictions
             if l_dirty:
                 l_stats.dirty_evictions += l_dirty
         if l_misses:
             l_stats.misses += l_misses
-            node = machine.nodes[first_line >> NODE_LINE_SHIFT]
-            remote = node.node_id != self.socket.memory.node_id
-            # LatencyModel.memory_latency inlined (one frame per run).
-            cycles += l_misses * (latency.remote_dram if remote
-                                  else latency.local_dram)
+            node = self.nodes[first_line >> NODE_LINE_SHIFT]
             node.read_lines += l_misses
-            if remote:
+            if node.node_id != self.home_node:
                 machine.qpi_crossings += l_misses
+                cycles += l_misses * self.remote_dram
+            else:
+                cycles += l_misses * self.local_dram
         return cycles
 
     def drain(self) -> None:

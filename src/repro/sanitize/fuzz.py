@@ -25,9 +25,11 @@ even though the differential comparison cannot see it.
 :func:`planted_bug` installs known counter bugs for self-tests and CI:
 ``short-block`` makes the access path drop the trailing line of
 multi-line blocks (caught by the differential oracle, shrinks to a
-single access), and ``lost-writeback`` makes the machine drop every
-fifth memory write on the floor in both replays (invisible to the
-differential oracle, caught by the sanitizer's write-conservation law).
+single access), ``clean-write`` issues every fifth one-line write as a
+read (the lost dirty bit is caught by the differential oracle), and
+``lost-writeback`` makes the machine drop every fifth memory write on
+the floor in both replays (invisible to the differential oracle,
+caught by the sanitizer's write-conservation law).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.config import PAGE_SIZE
 from repro.faults.plan import FAULTS, FaultPlan
 from repro.kernel.process import SimThread
 from repro.kernel.vm import Kernel
+from repro.machine.numa import NumaMachine
 from repro.machine.topology import emulation_platform_spec
 from repro.sanitize.invariants import Sanitizer, Violation
 
@@ -238,11 +241,15 @@ class TraceReplayer:
     replayed process (see :mod:`repro.kernel.placement`); ``tick`` ops
     run the policy's migration safepoint, so the migrate policy's
     promotion/demotion machinery is fuzzed differentially too.
+    ``machine`` replaces the emulation platform with a fresh machine of
+    another geometry (tests that need small, predictable cache sets).
     """
 
-    def __init__(self, placement: str = "static") -> None:
+    def __init__(self, placement: str = "static",
+                 machine: Optional[NumaMachine] = None) -> None:
         self.placement = placement
-        self.machine = emulation_platform_spec().build()
+        self.machine = (emulation_platform_spec().build()
+                        if machine is None else machine)
         self.kernel = Kernel(self.machine, placement=placement)
         self.process = self.kernel.create_process()
         base_bytes = BASE_PAGES * PAGE_SIZE
@@ -612,7 +619,7 @@ def per_line_oracle():
         SimThread.access_block = original_block  # type: ignore[method-assign]
 
 
-PLANTED_BUGS = ("short-block", "lost-writeback")
+PLANTED_BUGS = ("short-block", "clean-write", "lost-writeback")
 
 
 @contextmanager
@@ -623,6 +630,10 @@ def planted_bug(name: str):
         The access path silently drops the trailing line of every
         multi-line block — a differential divergence the fuzzer must
         catch and shrink to a single access op.
+    ``clean-write``
+        Every fifth one-line write touch per thread is issued as a
+        read, so the line it writes never turns dirty — a differential
+        divergence in the write-back counters.
     ``lost-writeback``
         The machine drops every fifth memory write on the floor (per
         machine, so both replays lose the *same* writes and the
@@ -643,6 +654,24 @@ def planted_bug(name: str):
             yield
         finally:
             SimThread.access_block = original_block  # type: ignore[method-assign]
+    elif name == "clean-write":
+        original_access = SimThread.access
+
+        def buggy_access(self, vaddr: int, size: int,
+                         is_write: bool) -> int:
+            if is_write and size > 0 \
+                    and vaddr >> 6 == (vaddr + size - 1) >> 6:
+                count = getattr(self, "_clean_write_count", 0) + 1
+                self._clean_write_count = count
+                if count % 5 == 0:
+                    is_write = False  # the dirty bit is lost
+            return original_access(self, vaddr, size, is_write)
+
+        SimThread.access = buggy_access  # type: ignore[method-assign]
+        try:
+            yield
+        finally:
+            SimThread.access = original_access  # type: ignore[method-assign]
     elif name == "lost-writeback":
         from repro.machine.numa import NumaMachine
         original_write = NumaMachine.memory_write

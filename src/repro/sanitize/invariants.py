@@ -34,9 +34,6 @@ violations):
     No cache set overflows its associativity; hit/miss/eviction
     counters never go negative; dirty evictions never exceed demand
     evictions.
-``tlb_coherence``
-    A thread's software-TLB entry whose epoch matches the live page
-    table must agree with the page table's translation.
 ``frame_conservation``
     Each node's frames-in-use equals the number of virtual pages
     mapped to it across every live process, and the kernel's
@@ -271,7 +268,7 @@ class Sanitizer:
     # Kernel-layer laws
     # ------------------------------------------------------------------
     def check_kernel(self, kernel, site: str = "kernel") -> None:
-        """Frame conservation and software-TLB coherence."""
+        """Frame and migration conservation."""
         self.checks_run += 1
         mapped_per_node = [0] * len(kernel.machine.nodes)
         mapped_total = 0
@@ -279,7 +276,6 @@ class Sanitizer:
             for _vpage, node_id, _frame in process.page_table.entries():
                 mapped_per_node[node_id] += 1
                 mapped_total += 1
-            self._check_tlbs(process, site)
         for node, mapped in zip(kernel.machine.nodes, mapped_per_node):
             if node.frames_in_use != mapped:
                 self._flag("frame_conservation", site,
@@ -301,21 +297,6 @@ class Sanitizer:
                        f"(expected {expected}; migrations must be atomic)",
                        migration_writes=kernel.migration_writes,
                        pages_migrated=kernel.pages_migrated)
-
-    def _check_tlbs(self, process, site: str) -> None:
-        table = process.page_table
-        for thread in process.threads:
-            if thread._tlb_epoch != table.epoch or thread._tlb_vpage < 0:
-                continue  # stale entries are fine; they will re-walk
-            base = table.line_base_map.get(thread._tlb_vpage)
-            if base != thread._tlb_base:
-                self._flag("tlb_coherence", site,
-                           f"thread {thread.thread_id}: TLB maps vpage "
-                           f"{thread._tlb_vpage:#x} to line base "
-                           f"{thread._tlb_base:#x} but the page table "
-                           f"says {base!r} at the same epoch",
-                           thread=thread.thread_id,
-                           vpage=thread._tlb_vpage)
 
     # ------------------------------------------------------------------
     # Runtime-layer laws

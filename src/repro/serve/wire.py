@@ -26,7 +26,9 @@ stored or compared: host-timing quantities (``host_seconds``,
 service bookkeeping (``serve.*``) are stripped, leaving only the
 simulated counters that are bit-identical for identical inputs.  This
 is what makes the chaos acceptance checkable: a 20 %-fault soak's
-payloads equal an unfaulted serial sweep's, byte for byte.
+payloads equal an unfaulted serial sweep's, byte for byte.  The two
+canonicalisers, :func:`canonical_result` and :func:`canonical_metrics`,
+live in :mod:`repro.harness.checkpoint` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import DEFAULT_SCALE_CONFIG
 from repro.core.collectors import ALL_COLLECTOR_NAMES
 from repro.core.platform import EmulationMode
-from repro.harness.checkpoint import result_to_dict
+# canonical_metrics and canonical_result live with the checkpoint
+# records; importers of this module keep finding them here.
+from repro.harness.checkpoint import (
+    canonical_metrics,
+    canonical_result,
+    result_to_dict,
+)
 from repro.harness.experiment import RunKey, SweepReport
 from repro.observability.metrics import MetricsRegistry
 
@@ -48,15 +56,6 @@ SPEC_SCHEMA = "repro.serve_spec/v1"
 JOB_SCHEMA = "repro.serve_job/v1"
 RESULT_SCHEMA = "repro.serve_result/v1"
 HEALTH_SCHEMA = "repro.serve_health/v1"
-
-#: Metric-name prefixes/suffixes stripped by :func:`canonical_metrics`:
-#: host timing and harness/service bookkeeping, none of which is
-#: deterministic across executions.
-_NONCANONICAL_PREFIXES = ("runner.", "serve.")
-_NONCANONICAL_SUFFIXES = ("host_seconds",)
-
-#: Result fields stripped by :func:`canonical_result` (host-dependent).
-_NONCANONICAL_RESULT_FIELDS = ("host_seconds", "profile")
 
 
 class SpecError(ValueError):
@@ -205,19 +204,6 @@ def expand_keys(spec: JobSpec) -> List[RunKey]:
             for benchmark in spec.benchmarks
             for collector in spec.collectors
             for count in spec.instances]
-
-
-def canonical_metrics(snapshot: Dict[str, Dict]) -> Dict[str, Dict]:
-    """Strip host-timing and bookkeeping entries from a metrics dump."""
-    return {name: value for name, value in sorted(snapshot.items())
-            if not name.startswith(_NONCANONICAL_PREFIXES)
-            and not name.endswith(_NONCANONICAL_SUFFIXES)}
-
-
-def canonical_result(result_dict: Dict) -> Dict:
-    """Strip host-dependent fields from a serialised result."""
-    return {field: value for field, value in result_dict.items()
-            if field not in _NONCANONICAL_RESULT_FIELDS}
 
 
 def build_result_payload(spec: JobSpec, digest: str, report: SweepReport,

@@ -3,14 +3,14 @@
 Counted with ``sys.setprofile`` (Python ``call`` events only, C calls
 are not frames), so the pins are deterministic and need no timing:
 
-* a small nursery allocation with a warm TLB bump-allocates inline and
-  zeroes the object through ``SimThread.access`` straight into
-  ``CorePath.access_run``;
+* a small one-line nursery allocation bump-allocates inline and zeroes
+  the object inside ``SimThread.access``, with no frame below it;
+* a warm ``read_ref`` of a one-line slot is ``SimThread.access`` alone;
 * one dirty LLC eviction costs exactly ``NumaMachine.memory_write`` and
   ``MemoryNode.record_write``.
 
-A refactor that puts a frame back on either chain fails here even
-when the timing-based hot-path gate cannot see it.
+A refactor that puts a frame back on any of these chains fails here
+even when the timing-based hot-path gate cannot see it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,13 @@ import sys
 from typing import Callable, List
 
 from repro.config import KB
+from repro.runtime.objectmodel import HEADER_BYTES, REF_BYTES
 
 from tests.conftest import build_test_machine, build_test_vm
+
+#: The frames a dirty write-back adds wherever it happens (pinned by
+#: the last test below).
+WRITE_BACK = ("NumaMachine.memory_write", "MemoryNode.record_write")
 
 
 def python_frames(call: Callable[[], object]) -> List[str]:
@@ -40,27 +45,48 @@ def python_frames(call: Callable[[], object]) -> List[str]:
     return frames[1:]  # the frames below the lambda under test
 
 
+def without_write_backs(frames: List[str]) -> List[str]:
+    """``frames`` minus the write-back pairs the touch pushed out."""
+    assert frames.count(WRITE_BACK[0]) == frames.count(WRITE_BACK[1])
+    return [name for name in frames if name not in WRITE_BACK]
+
+
+def one_line(addr: int, size: int) -> bool:
+    return addr >> 6 == (addr + size - 1) >> 6
+
+
 def test_warm_small_nursery_alloc_frames():
     vm = build_test_vm(machine=build_test_machine(private_l2=4 * KB))
     ctx = vm.mutator()
-    ctx.alloc(scalar_bytes=16)  # warms the TLB on the nursery page
+    ctx.alloc(scalar_bytes=16)  # first touch of the nursery page
+    # Line the next object up with the start of a cache line.
+    while vm.nursery.bump % 64:
+        ctx.alloc(scalar_bytes=0)
     nursery_bump = vm.nursery.bump
+    objects: List[object] = []
 
-    frames = python_frames(lambda: ctx.alloc(scalar_bytes=16, num_refs=1))
+    frames = python_frames(
+        lambda: objects.append(ctx.alloc(scalar_bytes=16, num_refs=1)))
 
-    assert vm.nursery.bump > nursery_bump  # served by the inline bump
-    # Write-backs the zeroing may push out of the LLC cost their own
-    # two frames each (pinned below); everything else is fixed.
-    chain = [name for name in frames
-             if name not in ("NumaMachine.memory_write",
-                             "MemoryNode.record_write")]
-    assert chain == ["MutatorContext.alloc", "object_size", "Obj.__init__",
-                     "SimThread.access", "CorePath.access_run"]
-    assert frames.count("NumaMachine.memory_write") == \
-        frames.count("MemoryNode.record_write")
-    for slow in ("SimThread.access_block", "MutatorContext._alloc_nursery",
-                 "ContiguousSpace.allocate"):
-        assert slow not in frames
+    obj = objects[0]
+    assert obj.addr == nursery_bump  # served by the inline bump
+    assert one_line(obj.addr, obj.size)
+    assert without_write_backs(frames) == [
+        "MutatorContext.alloc", "object_size", "Obj.__init__",
+        "SimThread.access"]
+
+
+def test_warm_read_ref_is_one_frame():
+    vm = build_test_vm(machine=build_test_machine(private_l2=4 * KB))
+    ctx = vm.mutator()
+    obj = ctx.alloc(scalar_bytes=16, num_refs=2)
+    assert one_line(obj.addr + HEADER_BYTES, REF_BYTES)
+    ctx.read_ref(obj, 0)  # warm: the slot's line is cached
+
+    frames = python_frames(lambda: ctx.read_ref(obj, 0))
+
+    assert without_write_backs(frames) == [
+        "MutatorContext.read_ref", "SimThread.access"]
 
 
 def test_one_dirty_llc_eviction_costs_two_frames():

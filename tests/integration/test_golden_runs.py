@@ -34,9 +34,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
-from repro.harness.checkpoint import result_to_dict
+from repro.harness.checkpoint import canonical_result, result_to_dict
 from repro.sanitize.fuzz import per_line_oracle
-from repro.serve.wire import canonical_result
 from repro.workloads.registry import benchmark_factory
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")

@@ -58,8 +58,8 @@ class TestAccounting:
         assert dram.writes_by_tag["mature"] == 1
 
     def test_access_after_migration_hits_new_node(self, kernel, bound):
-        # Prime the thread's TLB before the move: the remap must bump
-        # the page-table epoch so the stale translation is dropped.
+        # Touch the page before the move: the next touch must translate
+        # through the remapped entry, not the old frame.
         thread = bound.spawn_thread()
         thread.access(BASE, 8, True)
         kernel.machine.flush_all([thread.core_path])

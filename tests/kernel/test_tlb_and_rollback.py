@@ -1,13 +1,14 @@
-"""Software-TLB invalidation and ``mmap_bind`` rollback semantics.
+"""Translation after ``munmap`` and ``mmap_bind`` rollback semantics.
 
-The per-thread TLB caches one vpage -> line-base translation keyed by
-the page table's epoch; it must never serve a stale translation after
-``munmap``.  ``mmap_bind`` must be all-or-nothing: a mid-range frame
-exhaustion may not leave a half-populated page table or leaked frames.
+The access paths translate every touch with one lookup in the page
+table's translation dict, which ``munmap`` and ``mmap_bind`` mutate in
+place: a touch after ``munmap`` must fault, and one after a fresh
+``mmap_bind`` of the same vpage must reach the new frame.
+``mmap_bind`` must be all-or-nothing: a mid-range frame exhaustion may
+not leave a half-populated page table or leaked frames.
 
-Every test runs twice: on the default access path, whose TLB is
-exactly what ``munmap``/``mmap_bind``/reclaim could leave stale, and
-under the per-line oracle.
+Every test runs twice: on the default access path and under the
+per-line oracle.
 """
 
 from contextlib import nullcontext
@@ -42,7 +43,7 @@ class TestTlbInvalidation:
         process = kernel.create_process()
         kernel.mmap_bind(process, BASE, PAGE_SIZE, node_id=DRAM_NODE)
         thread = process.spawn_thread()
-        thread.access(BASE, 8, True)  # primes the TLB
+        thread.access(BASE, 8, True)
         kernel.munmap(process, BASE, PAGE_SIZE)
         with pytest.raises(PageFault):
             thread.access(BASE, 8, True)
@@ -54,7 +55,7 @@ class TestTlbInvalidation:
         thread = process.spawn_thread()
         thread.access(BASE, 64, True)
         kernel.munmap(process, BASE, PAGE_SIZE)
-        # Same vpage, different node: a stale TLB entry would keep
+        # Same vpage, different node: a stale translation would keep
         # counting traffic against DRAM.
         kernel.mmap_bind(process, BASE, PAGE_SIZE, node_id=PCM_NODE)
         thread.access(BASE, 64, True)
@@ -62,13 +63,20 @@ class TestTlbInvalidation:
         assert kernel.machine.nodes[PCM_NODE].write_lines == 1
 
     def test_block_access_reprimes_tlb_across_pages(self, kernel):
+        # A page-crossing block after munmap faults on its first page
+        # and leaves every counter where the first block left them.
         process = kernel.create_process()
         kernel.mmap_bind(process, BASE, 4 * PAGE_SIZE, node_id=DRAM_NODE)
         thread = process.spawn_thread()
         thread.access_block(BASE, 4 * PAGE_SIZE, True)
         kernel.munmap(process, BASE, 4 * PAGE_SIZE)
-        with pytest.raises(PageFault):
+        cycles = thread.cycles
+        reads = kernel.machine.nodes[DRAM_NODE].read_lines
+        with pytest.raises(PageFault) as info:
             thread.access_block(BASE, 4 * PAGE_SIZE, True)
+        assert info.value.vaddr == BASE
+        assert thread.cycles == cycles
+        assert kernel.machine.nodes[DRAM_NODE].read_lines == reads
 
 
 class TestMmapRollback:

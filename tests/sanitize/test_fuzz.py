@@ -254,6 +254,21 @@ class TestPlantedBugs:
         text = result.divergence.describe()
         assert "shrunk to" in text and "access" in text
 
+    def test_clean_write_bug_is_caught_and_shrunk(self):
+        with planted_bug("clean-write"):
+            result = DifferentialFuzzer(ops=800,
+                                        check_every=0).run_trial(0)
+        report = result.divergence
+        assert report is not None
+        assert len(report.shrunk) <= 25
+        # A lost dirty bit shows up as missing write-backs.
+        assert any(key.endswith("write_lines") for key in report.keys)
+        with planted_bug("clean-write"):
+            fast, _ = replay(report.shrunk)
+            with per_line_oracle():
+                oracle, _ = replay(report.shrunk)
+        assert diff_snapshots(fast, oracle)
+
     def test_lost_writeback_is_invisible_to_the_differential(self):
         # Both engines lose the same writes, so only the sanitizer's
         # write-conservation law can see this bug.

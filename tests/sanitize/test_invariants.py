@@ -139,15 +139,6 @@ class TestKernelLaws:
         assert any("pages_mapped" in v.detail
                    for v in sanitizer.violations)
 
-    def test_stale_tlb_entry_detected(self, kernel, sanitizer):
-        process = kernel.create_process()
-        kernel.mmap_bind(process, BASE, PAGE_SIZE, node_id=0)
-        thread = process.spawn_thread()
-        thread.access(BASE, 8, False)  # primes the TLB
-        thread._tlb_base += 1  # corrupt the cached translation
-        sanitizer.check_kernel(kernel)
-        assert any(v.law == "tlb_coherence" for v in sanitizer.violations)
-
 
 class TestRuntimeLaws:
     def test_clean_vm_passes(self, sanitizer):
