@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.analyze.engine import Checker, Finding
-from repro.analyze.checkers.asyncsafety import AsyncSafetyChecker
 from repro.analyze.checkers.counters import CounterDisciplineChecker
 from repro.analyze.checkers.determinism import DeterminismChecker
 from repro.analyze.checkers.hooks import HookCoverageChecker
@@ -26,7 +25,6 @@ ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     CounterDisciplineChecker,
     HookCoverageChecker,
     RacePatternChecker,
-    AsyncSafetyChecker,
     SpanBalanceChecker,
 )
 

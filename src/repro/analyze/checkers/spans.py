@@ -42,8 +42,9 @@ def _is_tracer_call(ctx: ScopeContext, call: ast.Call,
 def _push_call(ctx: ScopeContext, value: ast.AST) -> Optional[ast.Call]:
     """The ``TRACER.push`` call inside ``value``, if it is one.
 
-    Handles the conditional form ``TRACER.push(...) if tracing else
-    None`` used by the serve layer.
+    Also looks inside a conditional expression, so ``frame =
+    TRACER.push(...) if tracing else None`` is held to the same pop
+    discipline as a plain push.
     """
     if isinstance(value, ast.IfExp):
         for arm in (value.body, value.orelse):

@@ -25,8 +25,6 @@ Policy pieces:
   object's private attributes (``RC01``'s ownership protocol).
 * **hook_sites** — state-mutating operations that must carry their
   FAULTS / SANITIZE hook pair (``H001``).
-* **async_packages** — packages whose ``async def`` bodies must never
-  (transitively) reach blocking calls (``A001``/``A002``).
 * **test_paths / test_select** — extra trees the CLI lints with a
   restricted rule set (D-rules: unseeded RNG and wall-clock use in
   tests is a flakiness source).
@@ -63,7 +61,6 @@ DEFAULT_LAYERS: Dict[str, int] = {
     "repro.workloads": 45,
     "repro.harness": 50,
     "repro.experiments": 60,
-    "repro.serve": 65,
 }
 
 #: Cross-cutting packages: importable from anywhere except hot packages.
@@ -150,18 +147,7 @@ DEFAULT_HOOK_SITES: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
     ("repro.core.monitor", "WriteRateMonitor.sample", ("faults", "trace")),
     ("repro.core.platform", "HybridMemoryPlatform.run",
      ("sanitize", "trace")),
-    # Service layer: the three places a fault can lose or corrupt an
-    # accepted job — admission, dispatch, result persistence.
-    ("repro.serve.app", "ServeApp.admit", ("faults", "trace")),
-    ("repro.serve.app", "ServeApp.dispatch", ("faults", "trace")),
-    ("repro.serve.jobstore", "JobStore.store_result", ("faults",)),
 )
-
-#: Packages whose coroutines run on the serve event loop: blocking
-#: calls reachable from an ``async def`` here stall every in-flight
-#: request (PR 8's phantom-SIGTERM bug came from exactly this class of
-#: mistake).
-DEFAULT_ASYNC_PACKAGES: Tuple[str, ...] = ("repro.serve",)
 
 #: Extra trees linted with the restricted ``test_select`` rule set.
 DEFAULT_TEST_PATHS: Tuple[str, ...] = ("tests", "benchmarks")
@@ -198,8 +184,6 @@ class LintConfig:
     hook_sites: List[Tuple[str, str, Tuple[str, ...]]] = field(
         default_factory=lambda: [(m, q, tuple(h))
                                  for m, q, h in DEFAULT_HOOK_SITES])
-    async_packages: List[str] = field(
-        default_factory=lambda: list(DEFAULT_ASYNC_PACKAGES))
     test_paths: List[str] = field(
         default_factory=lambda: list(DEFAULT_TEST_PATHS))
     test_select: List[str] = field(
@@ -236,9 +220,6 @@ class LintConfig:
 
     def is_engine_function(self, module: str, qualname: str) -> bool:
         return f"{module}::{qualname}" in self.engine_functions
-
-    def is_async_package(self, module: str) -> bool:
-        return self._matches_any(module, self.async_packages)
 
 
 def load_config(pyproject: Optional[Path] = None) -> LintConfig:
@@ -278,7 +259,6 @@ def merge_table(config: LintConfig, table: Dict[str, object]) -> LintConfig:
                       ("counter-mutators", "counter_mutators"),
                       ("engine-functions", "engine_functions"),
                       ("crosscutting", "crosscutting"), ("hot", "hot"),
-                      ("async-packages", "async_packages"),
                       ("test-paths", "test_paths"),
                       ("test-select", "test_select"),
                       ("exclude", "exclude")):

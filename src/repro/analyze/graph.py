@@ -46,7 +46,6 @@ class FunctionInfo:
     qualname: str
     name: str
     lineno: int
-    is_async: bool
     node: ast.AST               # FunctionDef | AsyncFunctionDef
     owner: Optional[str] = None  # owning class fid, if a method
 
@@ -241,7 +240,6 @@ def _extract_symbols(symbols: ModuleSymbols) -> None:
                     qualname=qual,
                     name=node.name,
                     lineno=node.lineno,
-                    is_async=isinstance(node, ast.AsyncFunctionDef),
                     node=node,
                     owner=owner,
                 )

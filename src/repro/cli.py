@@ -10,7 +10,6 @@
     python -m repro stats -b fop -c KG-N
     python -m repro sweep -b lusearch,fop -c KG-N,KG-W -j 4
     python -m repro sanitize --seed 0 --ops 20000
-    python -m repro serve --port 8950 --store serve-store -j 4
     python -m repro lint --json
     python -m repro reproduce figure7
     python -m repro reproduce all
@@ -188,53 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="emit one JSON object per trial instead "
                                "of text")
 
-    serve = sub.add_parser(
-        "serve", help="run the crash-tolerant experiment service: "
-                      "accept specs over HTTP/JSON, shard them across "
-                      "the sweep pool, survive faults and restarts")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8950,
-                       help="listen port (0 = pick an ephemeral port; "
-                            "default: 8950)")
-    serve.add_argument("--store", default="serve-store", metavar="DIR",
-                       help="job store root: journal, result cache, "
-                            "per-job checkpoints (default: serve-store)")
-    serve.add_argument("--queue-limit", type=int, default=64,
-                       help="max queued jobs before 429 + Retry-After "
-                            "(default: 64)")
-    serve.add_argument("-j", "--jobs", type=int, default=None,
-                       help="worker processes per job sweep (default: "
-                            "one per core; 1 forces serial)")
-    serve.add_argument("--retries", type=int, default=None,
-                       help="per-run attempts inside a sweep "
-                            "(default: 3)")
-    serve.add_argument("--timeout", type=float, default=None,
-                       help="per-run timeout in seconds (pool mode)")
-    serve.add_argument("--deadline", type=float, default=None,
-                       help="default per-job wall-clock budget in "
-                            "seconds (specs may override)")
-    serve.add_argument("--job-retries", type=int, default=2,
-                       help="whole-job dispatch attempts on deadline/"
-                            "pool failure (default: 2)")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive pool collapses that trip the "
-                            "circuit breaker (default: 3)")
-    serve.add_argument("--breaker-cooldown", type=float, default=5.0,
-                       help="seconds the tripped breaker waits before "
-                            "a half-open probe (default: 5)")
-    serve.add_argument("--jitter", type=float, default=0.25,
-                       help="service-level retry jitter fraction, "
-                            "deterministic per (seed, job) "
-                            "(default: 0.25)")
-    serve.add_argument("--jitter-seed", type=int, default=0,
-                       help="seed for the deterministic retry jitter "
-                            "(default: 0)")
-
     lint = sub.add_parser(
         "lint", help="run the project's static-analysis checkers "
                      "(layering, determinism, counter-discipline, "
-                     "hook-coverage, race-pattern, async-safety, "
-                     "span-balance)")
+                     "hook-coverage, race-pattern, span-balance)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to scan (default: "
                            "the [tool.repro-lint] paths, i.e. src/repro)")
@@ -453,9 +409,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for count in instance_counts
             for placement in placements]
     runner = ExperimentRunner()
-    report = runner.sweep(keys, max_workers=args.jobs, retry=retry,
-                          timeout=args.timeout, checkpoint=args.checkpoint,
-                          resume=args.resume)
+    try:
+        report = runner.sweep(keys, max_workers=args.jobs, retry=retry,
+                              timeout=args.timeout,
+                              checkpoint=args.checkpoint,
+                              resume=args.resume)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         for entry in sweep_report(report)["outcomes"]:
             print(json.dumps(entry, sort_keys=True))
@@ -599,49 +560,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"trace.dropped: {TRACER.dropped}")
     print()
     print(METRICS.render_table(title="Metrics registry:"))
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.harness.experiment import RetryPolicy
-    from repro.serve.app import ServeApp, ServeConfig
-
-    if args.queue_limit < 1:
-        print(f"--queue-limit must be >= 1, got {args.queue_limit}",
-              file=sys.stderr)
-        return 2
-    if args.retries is not None and args.retries < 1:
-        print(f"--retries must be >= 1, got {args.retries}",
-              file=sys.stderr)
-        return 2
-    if args.job_retries < 1:
-        print(f"--job-retries must be >= 1, got {args.job_retries}",
-              file=sys.stderr)
-        return 2
-    try:
-        retry = (RetryPolicy(max_attempts=args.retries)
-                 if args.retries is not None else RetryPolicy())
-        job_retry = RetryPolicy(max_attempts=args.job_retries,
-                                base_delay=0.05, jitter=args.jitter,
-                                jitter_seed=args.jitter_seed)
-        config = ServeConfig(
-            host=args.host, port=args.port, store=args.store,
-            queue_limit=args.queue_limit, max_workers=args.jobs,
-            retry=retry, run_timeout=args.timeout,
-            default_deadline=args.deadline,
-            job_retries=args.job_retries, job_retry=job_retry,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown)
-        app = ServeApp(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        asyncio.run(app.serve_forever())
-    except KeyboardInterrupt:
-        pass  # drain path already ran via the SIGINT handler
     return 0
 
 
@@ -847,8 +765,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_stats(args)
     if args.command == "sanitize":
         return _cmd_sanitize(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "lint":
         return _cmd_lint(args)
     return 2  # pragma: no cover - argparse enforces choices

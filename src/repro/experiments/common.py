@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -119,9 +118,6 @@ class ResilientRunner(ExperimentRunner):
         for attempt in range(1, attempts + 1):
             if attempt > 1:
                 METRICS.inc("runner.retries")
-                delay = self.retry.delay(attempt - 1)
-                if delay:
-                    time.sleep(delay)
             try:
                 return super().run(benchmark, collector, instances,
                                    dataset, mode, llc_size, scale,

@@ -43,14 +43,13 @@ from repro.runtime.jvm import RuntimeStats
 CHECKPOINT_SCHEMA = "repro.sweep_checkpoint/v1"
 
 
-def salvage_jsonl(path: str, label: str = "checkpoint"
-                  ) -> Tuple[List[str], bool]:
+def salvage_jsonl(path: str) -> Tuple[List[str], bool]:
     """Read a JSONL file, salvaging around a torn trailing record.
 
     Returns ``(complete_lines, torn_tail)``: every newline-terminated
     line (undecoded), and whether the file ended mid-record.  A torn
     tail is the signature of a crash between ``write`` and ``fsync``;
-    it is counted (``<label>.torn_tail``), traced, and warned about —
+    it is counted (``checkpoint.torn_tail``), traced, and warned about —
     but never fatal, because every record is self-contained.
     """
     if not os.path.exists(path):
@@ -62,18 +61,18 @@ def salvage_jsonl(path: str, label: str = "checkpoint"
         cut = raw.rfind(b"\n") + 1
         tail_bytes = len(raw) - cut
         raw = raw[:cut]
-        METRICS.inc(f"{label}.torn_tail")
+        METRICS.inc("checkpoint.torn_tail")
         if TRACER.enabled:
-            TRACER.event(f"{label}.torn_tail", path=path,
+            TRACER.event("checkpoint.torn_tail", path=path,
                          bytes=tail_bytes)
         get_logger().warning(
-            "%s %s: torn trailing record (%d bytes) salvaged around; "
-            "the interrupted entry will be redone", label, path,
+            "checkpoint %s: torn trailing record (%d bytes) salvaged "
+            "around; the interrupted entry will be redone", path,
             tail_bytes)
     return raw.decode("utf-8", errors="replace").splitlines(), torn
 
 
-def repair_jsonl_tail(path: str, label: str = "checkpoint") -> bool:
+def repair_jsonl_tail(path: str) -> bool:
     """Truncate a torn trailing record so appends cannot fuse with it.
 
     Without this, the next append would land on the same line as the
@@ -93,9 +92,9 @@ def repair_jsonl_tail(path: str, label: str = "checkpoint") -> bool:
             handle.truncate(raw.rfind(b"\n") + 1)
     except FileNotFoundError:
         return False
-    METRICS.inc(f"{label}.tail_repaired")
+    METRICS.inc("checkpoint.tail_repaired")
     if TRACER.enabled:
-        TRACER.event(f"{label}.tail_repaired", path=path)
+        TRACER.event("checkpoint.tail_repaired", path=path)
     return True
 
 
@@ -178,29 +177,16 @@ def result_from_dict(data: Dict) -> MeasurementResult:
 # Canonical forms: the simulated counters without host timing
 # ----------------------------------------------------------------------
 
-#: Metric-name prefixes/suffixes stripped by :func:`canonical_metrics`:
-#: host timing and harness/service bookkeeping, none of which is
-#: deterministic across executions.
-_NONCANONICAL_PREFIXES = ("runner.", "serve.")
-_NONCANONICAL_SUFFIXES = ("host_seconds",)
-
 #: Result fields stripped by :func:`canonical_result` (host-dependent).
 _NONCANONICAL_RESULT_FIELDS = ("host_seconds", "profile")
-
-
-def canonical_metrics(snapshot: Dict[str, Dict]) -> Dict[str, Dict]:
-    """Strip host-timing and bookkeeping entries from a metrics dump."""
-    return {name: value for name, value in sorted(snapshot.items())
-            if not name.startswith(_NONCANONICAL_PREFIXES)
-            and not name.endswith(_NONCANONICAL_SUFFIXES)}
 
 
 def canonical_result(result_dict: Dict) -> Dict:
     """Strip host-dependent fields from a serialised result.
 
     What remains is the simulated counters, bit-identical for identical
-    inputs: the golden digests, the end-to-end benchmark and the
-    service all compare this form.
+    inputs: the golden digests, the end-to-end benchmark and the sweep
+    resume test all compare this form.
     """
     return {field: value for field, value in result_dict.items()
             if field not in _NONCANONICAL_RESULT_FIELDS}

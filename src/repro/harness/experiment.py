@@ -14,9 +14,8 @@ input order.  The sweep is crash-tolerant:
 
 * every fresh key is submitted as its own future with a per-run
   ``timeout``, so one wedged worker cannot stall the whole pool;
-* failures retry under a :class:`RetryPolicy` (bounded attempts,
-  jitter-free exponential backoff — determinism over thundering-herd
-  avoidance, since workers are local);
+* failures retry under a :class:`RetryPolicy` (bounded attempts, no
+  delay: a run is a pure function of its key and workers are local);
 * a worker crash (``BrokenProcessPool``), a hang (timeout), or an
   unpicklable payload charges the affected keys an attempt, the pool is
   rebuilt, and the surviving futures' results are kept — completed work
@@ -39,10 +38,8 @@ enabled).
 
 from __future__ import annotations
 
-import hashlib
 import signal
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -73,64 +70,20 @@ class RunKey:
     placement: str = "static"
 
 
-def _jitter_fraction(seed: int, salt: str, attempt: int) -> float:
-    """Deterministic [0, 1) jitter draw: same seed/salt/attempt, same
-    value, on every interpreter and platform (SHA-256, not ``hash``)."""
-    text = f"{seed}|{salt}|{attempt}"
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2 ** 64
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded, deterministic retry schedule for sweep runs.
+    """Bounded retry budget for sweep runs.
 
-    ``base_delay * backoff ** (n - 1)`` seconds pass before retry
-    ``n + 1``.  By default there is no jitter — sweep runs are local
-    and reproducibility beats herd avoidance.  Service-level callers
-    (``repro serve``) set ``jitter`` so many clients retrying against a
-    freshly rebuilt pool do not arrive in lockstep: each delay is
-    stretched by up to ``jitter`` (a fraction of itself), drawn
-    *deterministically* from ``(jitter_seed, salt, attempt)`` via
-    SHA-256 — the schedule is still bit-reproducible given the seed,
-    but distinct salts (run keys, job ids) spread out.
-
-    ``serial_fallback`` grants a key whose pool attempts were all lost
-    to infrastructure failures (crashes, hangs) one final in-process
-    attempt.
+    A failed run is retried at once, up to ``max_attempts`` attempts in
+    all.  A key whose pool attempts were all lost to infrastructure
+    failures (crashes, hangs) gets one final in-process attempt.
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.0
-    backoff: float = 2.0
-    serial_fallback: bool = True
-    #: Maximum extra delay as a fraction of the base schedule
-    #: (``0.0`` = the historical jitter-free behaviour).
-    jitter: float = 0.0
-    #: Seed for the deterministic jitter draw.
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0:
-            raise ValueError("base_delay cannot be negative")
-        if self.jitter < 0:
-            raise ValueError("jitter cannot be negative")
-
-    def delay(self, failed_attempts: int, salt: str = "") -> float:
-        """Backoff before the next try after ``failed_attempts`` failures.
-
-        ``salt`` distinguishes concurrent retriers (a run key, a job
-        id) so jittered schedules decorrelate; it is ignored while
-        ``jitter`` is 0, which keeps existing sweep callers byte-for-
-        byte on the old schedule.
-        """
-        delay = self.base_delay * self.backoff ** max(0, failed_attempts - 1)
-        if self.jitter and delay > 0:
-            delay *= 1.0 + self.jitter * _jitter_fraction(
-                self.jitter_seed, salt, failed_attempts)
-        return delay
 
 
 @dataclass
@@ -217,15 +170,13 @@ def _worker_init() -> None:
     """Reset inherited signal state in a fresh pool worker.
 
     Under the default fork start method a worker inherits the parent's
-    signal dispositions — including an asyncio loop's wakeup fd, which
-    is a socketpair *shared* with the parent.  If the executor later
-    SIGTERMs this worker (e.g. while tearing down a broken pool), the
-    inherited C-level trampoline would write the signal number into
-    that shared socket and the parent's loop would read it as a SIGTERM
-    delivered to *itself* — ``repro serve`` would start draining
-    because a chaos-killed sibling took the pool down.  Clearing the
-    wakeup fd and restoring default dispositions keeps a worker's death
-    a worker-local event.
+    signal dispositions, and any signal wakeup fd the parent installed
+    (an event loop's is a socketpair *shared* with the parent).  If the
+    executor later SIGTERMs this worker (e.g. while tearing down a
+    broken pool), an inherited handler would run the parent's shutdown
+    logic in the worker, or report the signal to the parent as its own.
+    Clearing the wakeup fd and restoring default dispositions keeps a
+    worker's death a worker-local event.
     """
     signal.set_wakeup_fd(-1)
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -387,13 +338,6 @@ class ExperimentRunner:
                 self.profile, key.placement)
 
     @staticmethod
-    def _retry_salt(key: RunKey) -> str:
-        """Stable per-key salt so jittered retries decorrelate."""
-        return (f"{key.benchmark}/{key.collector}/{key.instances}/"
-                f"{key.dataset}/{key.mode.value}/{key.llc_size}/"
-                f"{key.scale}/{key.placement}")
-
-    @staticmethod
     def _note_retry(key: RunKey, attempt: int, exc: BaseException) -> None:
         METRICS.inc("runner.retries")
         if TRACER.enabled:
@@ -415,9 +359,6 @@ class ExperimentRunner:
         for attempt in range(1, retry.max_attempts + 1):
             if attempt > 1:
                 self._note_retry(key, attempt, last_exc)
-                delay = retry.delay(attempt - 1, salt=self._retry_salt(key))
-                if delay:
-                    time.sleep(delay)
             try:
                 result, snapshot = self._run_isolated(key)
                 return _Exec(result=result, snapshot=snapshot,
@@ -484,15 +425,11 @@ class ExperimentRunner:
             be rebuilt (key retried there or siblings resubmitted)."""
             if attempts[key] < retry.max_attempts:
                 self._note_retry(key, attempts[key] + 1, exc)
-                delay = retry.delay(attempts[key],
-                                    salt=self._retry_salt(key))
-                if delay:
-                    time.sleep(delay)
                 if not pool_level:
                     submit(key)
                 return pool_level
             # Retry budget exhausted.
-            if pool_level and retry.serial_fallback:
+            if pool_level:
                 try:
                     result, snapshot = self._run_isolated(key)
                 except Exception as serial_exc:  # noqa: BLE001
@@ -569,8 +506,14 @@ class ExperimentRunner:
         cannot be preempted.
 
         Returns a :class:`SweepReport` with one :class:`RunOutcome` per
-        input key, in input order.
+        input key, in input order.  Raises :class:`ValueError` for a
+        ``max_workers`` below 1 or a ``timeout`` that is not positive.
         """
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, "
+                             f"got {max_workers}")
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         retry = retry or RetryPolicy()
         order = list(keys)
         ckpt = None
@@ -671,31 +614,6 @@ class ExperimentRunner:
             METRICS.inc("runner.cache.hits", hits)
         return SweepReport(outcomes=outcomes)
 
-    async def submit_async(self, keys: List[RunKey],
-                           max_workers: Optional[int] = None,
-                           retry: Optional[RetryPolicy] = None,
-                           timeout: Optional[float] = None,
-                           checkpoint: Optional[str] = None,
-                           resume: bool = False) -> SweepReport:
-        """Awaitable :meth:`sweep` — the seam ``repro.serve`` runs on.
-
-        The sweep executes on the event loop's default thread-pool
-        executor so the service can keep admitting and answering HTTP
-        requests while a job grinds through the process pool.  One
-        sweep at a time per runner: the memoisation cache and the
-        global metrics registry are not synchronised, so the service
-        dispatches jobs sequentially (each on a fresh runner) and
-        derives per-job metrics from the checkpoint's isolated
-        snapshots rather than the global registry.
-        """
-        import asyncio
-        from functools import partial
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, partial(
-            self.sweep, list(keys), max_workers=max_workers, retry=retry,
-            timeout=timeout, checkpoint=checkpoint, resume=resume))
-
     def run_many(self, keys: List[RunKey],
                  max_workers: Optional[int] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -727,20 +645,6 @@ class ExperimentRunner:
                              **kwargs) -> float:
         from repro.harness.metrics import average
         return average([self.pcm_writes(b, **kwargs) for b in benchmarks])
-
-    @property
-    def runs_executed(self) -> int:
-        """Deprecated alias for :attr:`executions`.
-
-        Historically this returned the cache size, conflating "runs
-        executed" with "configurations cached" (a cached hit is not an
-        execution).  Use :attr:`executions` and :attr:`cache_hits`.
-        """
-        warnings.warn(
-            "ExperimentRunner.runs_executed is deprecated; use "
-            ".executions (fresh runs) or .cache_hits instead",
-            DeprecationWarning, stacklevel=2)
-        return self.executions
 
 
 #: Module-level runner shared by the experiment scripts and benchmarks,

@@ -1,43 +1,8 @@
-"""``repro.serve`` — the sweep harness promoted to a long-running
-service.
+"""Compatibility shim: ``repro.serve.wire.canonical_result`` only.
 
-An asyncio HTTP/JSON front end (stdlib only) over
-:class:`repro.harness.experiment.ExperimentRunner`: bounded admission
-with honest 429 backpressure, per-job deadlines over per-run timeouts,
-a circuit breaker around the worker pool, content-addressed result
-memoization, journal-based crash recovery, and graceful drain.  See
-DESIGN.md "Service layer" for the state machines and ISSUE/ROADMAP for
-why the paper's experiment matrix wants to be a service at all.
+The experiment service that lived here is gone; a run is a pure
+function of its key, and ``repro sweep --checkpoint/--resume`` is the
+durability story.  The package survives only because
+``benchmarks/e2e/child.py`` still imports ``canonical_result`` from
+:mod:`repro.serve.wire`.
 """
-
-from repro.serve.app import Job, ServeApp, ServeConfig
-from repro.serve.breaker import CircuitBreaker
-from repro.serve.jobstore import JobStore
-from repro.serve.queue import AdmissionQueue
-from repro.serve.wire import (
-    JobSpec,
-    SpecError,
-    build_result_payload,
-    canonical_metrics,
-    canonical_result,
-    expand_keys,
-    parse_spec,
-    spec_digest,
-)
-
-__all__ = [
-    "AdmissionQueue",
-    "CircuitBreaker",
-    "Job",
-    "JobSpec",
-    "JobStore",
-    "ServeApp",
-    "ServeConfig",
-    "SpecError",
-    "build_result_payload",
-    "canonical_metrics",
-    "canonical_result",
-    "expand_keys",
-    "parse_spec",
-    "spec_digest",
-]

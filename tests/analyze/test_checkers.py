@@ -78,32 +78,6 @@ class TestPlantedViolations:
         assert "_sets" in finding.message
         assert finding.symbol == "Thief.poke"
 
-    def test_a001_blocking_call_in_async_def(self, planted_findings):
-        finding = _single(planted_findings, "A001")
-        assert finding.path.endswith("repro/serve/async_bad.py")
-        assert finding.line == 18
-        assert finding.symbol == "Gateway.handle"
-        assert finding.key == ("A001::repro.serve.async_bad::"
-                               "Gateway.handle:time.sleep")
-
-    def test_a002_transitive_blocking_reach(self, planted_findings):
-        finding = _single(planted_findings, "A002")
-        assert finding.path.endswith("repro/serve/async_bad.py")
-        assert finding.line == 19
-        assert "Gateway.handle -> _load_snapshot -> open" \
-            in finding.message
-        assert finding.key == ("A002::repro.serve.async_bad::"
-                               "Gateway.handle:_load_snapshot")
-
-    def test_a003_pool_without_initializer(self, planted_findings):
-        finding = _single(planted_findings, "A003")
-        assert finding.path.endswith("repro/serve/async_bad.py")
-        assert finding.line == 22
-        assert "initializer=" in finding.message
-        assert finding.key == (
-            "A003::repro.serve.async_bad::"
-            "Gateway.boot:concurrent.futures.ProcessPoolExecutor")
-
     def test_s001_unbalanced_span(self, planted_findings):
         finding = _single(planted_findings, "S001")
         assert finding.path.endswith("repro/harness/spans_bad.py")
@@ -130,8 +104,7 @@ class TestPlantedViolations:
     def test_no_unexpected_rules(self, planted_findings):
         assert set(planted_findings) == {
             "L001", "L002", "D001", "D002", "D003", "D004",
-            "C001", "C002", "H001", "RC01",
-            "A001", "A002", "A003", "S001", "S002",
+            "C001", "C002", "H001", "RC01", "S001", "S002",
         }
 
 
@@ -164,13 +137,6 @@ class TestPolicyKnobs:
                              if site[1] != "Kernel.munmap"]
         findings = by_rule(run_lint(PLANTED, config=config))
         assert "H001" not in findings
-
-    def test_async_package_scope_silences_a_rules(self):
-        from repro.analyze import LintConfig
-        config = LintConfig()
-        config.async_packages = []
-        findings = by_rule(run_lint(PLANTED, config=config))
-        assert not {"A001", "A002", "A003"} & set(findings)
 
     def test_c003_stale_allowlist_entry(self):
         from repro.analyze import LintConfig

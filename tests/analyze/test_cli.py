@@ -205,5 +205,5 @@ class TestExplain:
         out = capsys.readouterr().out
         for rule in ("L001", "L002", "D001", "D002", "D003", "D004",
                      "C001", "C002", "C003", "H001", "RC01",
-                     "A001", "A002", "A003", "S001", "S002"):
+                     "S001", "S002"):
             assert rule in out

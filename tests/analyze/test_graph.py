@@ -90,7 +90,6 @@ class TestProjectIndex:
         assert info.module == "repro.kernel.alpha"
         assert info.qualname == "Kernel.run"
         assert info.owner == "repro.kernel.alpha::Kernel"
-        assert not info.is_async
 
     def test_nested_function_is_indexed(self):
         project = make_project()

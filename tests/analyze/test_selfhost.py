@@ -67,7 +67,6 @@ class TestPolicyPin:
         assert loaded.hook_sites == default.hook_sites
         assert loaded.paths == default.paths
         assert loaded.baseline == default.baseline
-        assert list(loaded.async_packages) == list(default.async_packages)
         assert list(loaded.test_paths) == list(default.test_paths)
         assert list(loaded.test_select) == list(default.test_select)
         assert list(loaded.exclude) == list(default.exclude)

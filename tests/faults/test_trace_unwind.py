@@ -119,8 +119,7 @@ class TestSweepRetries:
         try:
             with FAULTS.installed(plan):
                 report = runner.sweep([key], max_workers=1,
-                                      retry=RetryPolicy(max_attempts=3,
-                                                        base_delay=0.0))
+                                      retry=RetryPolicy(max_attempts=3))
         finally:
             TRACER.disable()
         (outcome,) = report.outcomes
@@ -136,8 +135,7 @@ class TestSweepRetries:
         key = RunKey("fop", "KG-W", 1, "default", EmulationMode.EMULATION)
         with FAULTS.installed(plan):
             report = runner.sweep([key], max_workers=1,
-                                  retry=RetryPolicy(max_attempts=2,
-                                                    base_delay=0.0))
+                                  retry=RetryPolicy(max_attempts=2))
         (outcome,) = report.outcomes
         assert outcome.failure is not None
         assert report.profiles == [None]

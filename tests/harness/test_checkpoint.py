@@ -10,6 +10,7 @@ from repro.harness.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointMismatch,
     SweepCheckpoint,
+    canonical_result,
     repair_jsonl_tail,
     result_from_dict,
     result_to_dict,
@@ -53,6 +54,13 @@ class TestResultRoundTrip:
     def test_pauses_survive(self):
         clone = result_from_dict(result_to_dict(_result()))
         assert clone.instance_stats[0].pauses == [10, 25, 40]
+
+
+class TestCanonicalResult:
+    def test_result_strips_host_fields(self):
+        result = {"pcm_write_lines": 5, "host_seconds": 1.25,
+                  "profile": {"x": 1}}
+        assert canonical_result(result) == {"pcm_write_lines": 5}
 
 
 class TestCheckpointStore:

@@ -33,12 +33,6 @@ class TestCaching:
         runner.run("fop", "PCM-Only", mode=EmulationMode.SIMULATION)
         assert runner.executions == count + 1
 
-    def test_runs_executed_is_deprecated_alias(self, runner):
-        runner.run("fop", "PCM-Only")
-        with pytest.deprecated_call():
-            value = runner.runs_executed
-        assert value == runner.executions
-
     def test_cache_hit_is_not_an_execution(self):
         fresh = ExperimentRunner()
         assert fresh.executions == 0 and fresh.cache_hits == 0

@@ -54,49 +54,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1.0)
-
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.5, backoff=2.0)
-        assert [policy.delay(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-
-    def test_default_has_no_delay(self):
-        assert RetryPolicy().delay(1) == 0.0
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
-
-    def test_default_jitter_keeps_old_schedule(self):
-        # Existing sweep callers must stay byte-identical: jitter=0
-        # ignores the salt entirely.
-        plain = RetryPolicy(max_attempts=4, base_delay=0.5, backoff=2.0)
-        assert [plain.delay(n, salt="anything") for n in (1, 2, 3)] \
-            == [0.5, 1.0, 2.0]
-
-    def test_jitter_is_deterministic_given_seed_salt_attempt(self):
-        policy = RetryPolicy(base_delay=0.5, jitter=0.5, jitter_seed=7)
-        again = RetryPolicy(base_delay=0.5, jitter=0.5, jitter_seed=7)
-        assert policy.delay(1, salt="job-a") == again.delay(1, salt="job-a")
-        assert policy.delay(2, salt="job-a") == again.delay(2, salt="job-a")
-
-    def test_jitter_bounded_and_stretching(self):
-        policy = RetryPolicy(base_delay=0.5, jitter=0.5, jitter_seed=7)
-        delay = policy.delay(1, salt="job-a")
-        assert 0.5 <= delay <= 0.75  # base .. base * (1 + jitter)
-
-    def test_distinct_salts_decorrelate(self):
-        # The thundering-herd property: concurrent retriers with
-        # different salts must not share a schedule.
-        policy = RetryPolicy(base_delay=0.5, jitter=0.5, jitter_seed=7)
-        delays = {policy.delay(1, salt=f"job-{n}") for n in range(16)}
-        assert len(delays) > 8
-
-    def test_distinct_seeds_differ(self):
-        one = RetryPolicy(base_delay=0.5, jitter=0.5, jitter_seed=1)
-        two = RetryPolicy(base_delay=0.5, jitter=0.5, jitter_seed=2)
-        assert one.delay(1, salt="job") != two.delay(1, salt="job")
 
 
 class TestWorkerCrashRecovery:
@@ -217,6 +174,24 @@ class TestSweepCaching:
         again = runner.sweep(keys, max_workers=2)
         assert runner.executions == 2
         assert all(outcome.cached for outcome in again.outcomes)
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_workers": 0}, {"max_workers": -3},
+        {"max_workers": 2, "timeout": 0.0},
+        {"max_workers": 2, "timeout": -1.0},
+    ])
+    def test_unusable_values_rejected_before_any_run(self, kwargs,
+                                                     tmp_path):
+        path = tmp_path / "sweep.ckpt.jsonl"
+        path.write_text("earlier records\n")
+        runner = ExperimentRunner()
+        with pytest.raises(ValueError):
+            runner.sweep(EIGHT[:2], checkpoint=str(path), **kwargs)
+        assert runner.executions == 0
+        # The checkpoint was neither truncated nor appended to.
+        assert path.read_text() == "earlier records\n"
 
 
 class TestCheckpointResume:

@@ -2,8 +2,8 @@
 
 Each case is one ``HybridMemoryPlatform.run`` at ``DEFAULT_SEEDS``.  Its
 digest is the SHA-256 of the compact, key-sorted JSON of the run's
-canonical result payload (the one ``repro serve`` compares, with host
-timing stripped), wrapped in a one-element list exactly as the
+canonical result payload (``canonical_result``: the simulated counters
+with host timing stripped), wrapped in a one-element list exactly as the
 end-to-end benchmark's ``child.digest`` does.  So the xalan and pr
 KG-W digests are also the seed-0 entries of
 ``benchmarks/e2e/golden.json``.

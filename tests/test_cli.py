@@ -234,3 +234,24 @@ class TestSanitize:
         report = json.loads(capsys.readouterr().out)
         assert report["divergence"]["predicate_evals"] == 0
         assert len(report["divergence"]["shrunk"]) == 300
+
+
+class TestSweepArguments:
+    """Worker counts and timeouts the sweep cannot use exit 2 before
+    any run starts."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["-j", "0"], "max_workers"),
+        (["-j", "-3"], "max_workers"),
+        (["--timeout", "-1", "-j", "2"], "timeout"),
+        (["--timeout", "0", "-j", "2"], "timeout"),
+        (["--retries", "0"], "--retries"),
+    ])
+    def test_unusable_values_exit_two(self, extra, message, tmp_path,
+                                      capsys):
+        checkpoint = tmp_path / "sweep.ckpt.jsonl"
+        argv = ["sweep", "-b", "fop", "-c", "PCM-Only,KG-N",
+                "--checkpoint", str(checkpoint), *extra]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not checkpoint.exists()
