@@ -1,7 +1,7 @@
 """Determinism checker: nondeterminism sources feeding simulated state.
 
 The whole evaluation rests on bit-identical counters for identical
-inputs (the differential fuzzer and ``run_many``'s deterministic merge
+inputs (the differential fuzzer and ``sweep``'s deterministic merge
 both assume it), so anything that injects host entropy into the
 simulation is a bug even when it "usually" agrees:
 

@@ -37,7 +37,11 @@ from repro.observability import (
     to_chrome_trace,
     to_folded,
 )
-from repro.workloads.registry import benchmark_factory, benchmarks_in_suite
+from repro.workloads.registry import (
+    ALL_BENCHMARKS,
+    benchmark_factory,
+    benchmarks_in_suite,
+)
 
 
 def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
@@ -136,12 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("-j", "--jobs", type=int, default=None,
                        help="worker processes (default: one per core; "
                             "1 forces serial execution)")
-    sweep.add_argument("--retries", type=int, default=None,
-                       help="attempts per failing key (default: 3)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-run timeout in seconds (pool mode "
-                            "only; a timed-out run counts as a failed "
-                            "attempt)")
+                            "only; a timed-out run is retried like a "
+                            "crashed worker)")
     sweep.add_argument("--checkpoint", default=None, metavar="PATH",
                        help="persist each completed key to this JSONL "
                             "file as it finishes")
@@ -231,6 +233,16 @@ def _cmd_list() -> int:
     print("\nCollectors:")
     print("  " + ", ".join(ALL_COLLECTOR_NAMES))
     return 0
+
+
+def _known_benchmarks(names: List[str]) -> bool:
+    """False, after listing the known names on stderr, when any of
+    ``names`` is not a registered benchmark."""
+    unknown = [name for name in names if name not in ALL_BENCHMARKS]
+    if unknown:
+        print(f"unknown benchmark(s) {', '.join(unknown)}; choose from "
+              f"{', '.join(ALL_BENCHMARKS)}", file=sys.stderr)
+    return not unknown
 
 
 def _cmd_describe() -> int:
@@ -369,8 +381,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.harness.experiment import (ExperimentRunner, RetryPolicy,
-                                          RunKey)
+    from repro.harness.experiment import ExperimentRunner, RunKey
     from repro.observability.report import sweep_report
 
     mode = (EmulationMode.EMULATION if args.mode == "emulation"
@@ -383,6 +394,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"invalid --instances list: {args.instances!r}",
               file=sys.stderr)
         return 2
+    if not _known_benchmarks(benchmarks):
+        return 2
     unknown = [c for c in collectors if c not in ALL_COLLECTOR_NAMES]
     if unknown:
         print(f"unknown collectors: {', '.join(unknown)}", file=sys.stderr)
@@ -390,12 +403,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
-    if args.retries is not None and args.retries < 1:
-        print(f"--retries must be >= 1, got {args.retries}",
-              file=sys.stderr)
-        return 2
-    retry = (RetryPolicy(max_attempts=args.retries)
-             if args.retries is not None else None)
     placements = [p.strip() for p in args.placement.split(",") if p.strip()]
     unknown = [p for p in placements if p not in placement_names()]
     if unknown:
@@ -410,7 +417,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             for placement in placements]
     runner = ExperimentRunner()
     try:
-        report = runner.sweep(keys, max_workers=args.jobs, retry=retry,
+        report = runner.sweep(keys, max_workers=args.jobs,
                               timeout=args.timeout,
                               checkpoint=args.checkpoint,
                               resume=args.resume)
@@ -600,6 +607,27 @@ def _cmd_lint(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
+    def split(values: Optional[List[str]],
+              fallback: List[str]) -> List[str]:
+        if values is None:
+            return fallback
+        flat: List[str] = []
+        for value in values:
+            flat.extend(part.strip() for part in value.split(",")
+                        if part.strip())
+        return flat
+
+    select = split(args.select, config.select)
+    ignore = split(args.ignore, config.ignore)
+    table = rule_table()
+    known = sorted(table) + sorted({checker for checker, _ in table.values()})
+    for flag, names in (("--select", select), ("--ignore", ignore)):
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            print(f"error: unknown {flag} name(s) {', '.join(unknown)}; "
+                  f"choose from {', '.join(known)}", file=sys.stderr)
+            return 2
+
     focus: Optional[List[Path]] = None
     if args.changed is not None:
         if args.write_baseline:
@@ -615,19 +643,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"0 files changed vs {args.changed}; nothing to lint")
             return 0
         focus = [Path(name) for name in changed]
-
-    def split(values: Optional[List[str]],
-              fallback: List[str]) -> List[str]:
-        if values is None:
-            return fallback
-        flat: List[str] = []
-        for value in values:
-            flat.extend(part.strip() for part in value.split(",")
-                        if part.strip())
-        return flat
-
-    select = split(args.select, config.select)
-    ignore = split(args.ignore, config.ignore)
 
     analyzer = Analyzer(make_checkers(), config=config)
     report = analyzer.run(paths, focus=focus)
@@ -747,6 +762,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in ("run", "profile", "stats") \
+            and not _known_benchmarks([args.benchmark]):
+        return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "describe":

@@ -9,7 +9,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_SCALE_CONFIG, ScaleConfig
 from repro.core.platform import EmulationMode, MeasurementResult
-from repro.harness.experiment import ExperimentRunner, RetryPolicy, RunKey
+from repro.harness.experiment import ExperimentRunner, RunKey
 from repro.observability.metrics import METRICS
 
 #: All DaCapo benchmarks (11 originals + the two updated variants).
@@ -82,28 +82,16 @@ def error_result(key: RunKey) -> MeasurementResult:
 class ResilientRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` that survives failing cells.
 
-    ``on_error`` selects the policy the experiment scripts' ``--on-error``
-    flag exposes:
-
-    * ``"fail"`` — propagate the exception (plain runner behaviour);
-    * ``"skip"`` — record the failure and substitute
-      :func:`error_result`, rendering that cell as ``ERR``;
-    * ``"retry"`` — retry per ``retry`` (a :class:`RetryPolicy`), then
-      skip.
-
+    A configuration that raises is recorded in :attr:`errors` and
+    replaced by :func:`error_result`, so its cell renders as ``ERR``.
+    A run is a pure function of its key, so the cell is not retried.
     Failed keys are cached like successes so a configuration that
     appears in several tables fails once, not once per cell.
     """
 
-    def __init__(self, on_error: str = "skip",
-                 retry: Optional[RetryPolicy] = None,
-                 verbose: bool = False) -> None:
-        if on_error not in ("fail", "skip", "retry"):
-            raise ValueError(f"unknown on_error policy {on_error!r}")
+    def __init__(self, verbose: bool = False) -> None:
         super().__init__(verbose=verbose)
-        self.on_error = on_error
-        self.retry = retry or RetryPolicy()
-        #: (key, exception) per configuration that ultimately failed.
+        #: (key, exception) per configuration that failed.
         self.errors: List[Tuple[RunKey, BaseException]] = []
 
     def run(self, benchmark: str, collector: str = "PCM-Only",
@@ -112,56 +100,36 @@ class ResilientRunner(ExperimentRunner):
             llc_size: int = 0,
             scale: ScaleConfig = DEFAULT_SCALE_CONFIG,
             placement: str = "static") -> MeasurementResult:
-        attempts = (self.retry.max_attempts
-                    if self.on_error == "retry" else 1)
-        last_exc: Optional[BaseException] = None
-        for attempt in range(1, attempts + 1):
-            if attempt > 1:
-                METRICS.inc("runner.retries")
-            try:
-                return super().run(benchmark, collector, instances,
-                                   dataset, mode, llc_size, scale,
-                                   placement)
-            except Exception as exc:  # noqa: BLE001 - policy decides
-                if self.on_error == "fail":
-                    raise
-                last_exc = exc
-        key = RunKey(benchmark, collector, instances, dataset, mode,
-                     llc_size, scale.scale, placement)
-        self.errors.append((key, last_exc))
-        METRICS.inc("runner.failures")
-        placeholder = error_result(key)
-        self._cache[key] = placeholder
-        return placeholder
+        try:
+            return super().run(benchmark, collector, instances, dataset,
+                               mode, llc_size, scale, placement)
+        except Exception as exc:  # noqa: BLE001 - rendered as ERR
+            key = RunKey(benchmark, collector, instances, dataset, mode,
+                         llc_size, scale.scale, placement)
+            self.errors.append((key, exc))
+            METRICS.inc("runner.failures")
+            placeholder = error_result(key)
+            self._cache[key] = placeholder
+            return placeholder
 
 
 def main(run_callable) -> None:  # pragma: no cover - CLI helper
     """Run an experiment module from the command line.
 
-    ``--on-error skip`` (or ``retry``) keeps a single failing
-    configuration from killing the whole table: the cell renders as
-    ``ERR`` and the failures are listed on stderr.
+    ``--on-error skip`` keeps a single failing configuration from
+    killing the whole table: the cell renders as ``ERR`` and the
+    failures are listed on stderr.
     """
     parser = argparse.ArgumentParser(
         description=getattr(run_callable, "__doc__", None))
-    parser.add_argument("--on-error", choices=["fail", "skip", "retry"],
+    parser.add_argument("--on-error", choices=["fail", "skip"],
                         default="fail",
                         help="what to do when one configuration raises: "
-                             "propagate (fail), render the cell as ERR "
-                             "(skip), or retry then render as ERR "
-                             "(retry); default: fail")
-    parser.add_argument("--retries", type=int, default=3,
-                        help="attempts per cell with --on-error retry "
-                             "(default: 3)")
+                             "propagate (fail) or render the cell as ERR "
+                             "(skip); default: fail")
     args = parser.parse_args()
-    if args.retries < 1:
-        parser.error(f"--retries must be >= 1, got {args.retries}")
-    if args.on_error == "fail":
-        runner: ExperimentRunner = ensure_runner(None)
-    else:
-        runner = ResilientRunner(
-            on_error=args.on_error,
-            retry=RetryPolicy(max_attempts=args.retries))
+    runner = (ensure_runner(None) if args.on_error == "fail"
+              else ResilientRunner())
     output = run_callable(runner)
     print(output.text)
     errors = getattr(runner, "errors", [])

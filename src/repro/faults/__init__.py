@@ -2,7 +2,7 @@
 
 See :mod:`repro.faults.plan` for the in-process injector and hook-point
 registry, and :mod:`repro.faults.worker` for the env-keyed shim that
-crashes or hangs ``run_many`` pool workers.
+crashes or hangs ``ExperimentRunner.sweep`` pool workers.
 """
 
 from repro.faults.plan import (

@@ -50,7 +50,7 @@ Registered sites (each hook documents its own context keys):
                           failing step mid-list.
 ========================  ==================================================
 
-Harness-level faults (worker-process crash/hang in ``run_many``) cannot
+Harness-level faults (a sweep worker process crashing or hanging) cannot
 be expressed as in-process hooks — the victim is another process — and
 live in :mod:`repro.faults.worker` instead, keyed by an environment
 variable the pool workers inherit.

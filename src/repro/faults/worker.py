@@ -1,4 +1,4 @@
-"""Env-keyed fault shim for ``run_many`` pool workers.
+"""Env-keyed fault shim for ``ExperimentRunner.sweep`` pool workers.
 
 In-process hooks cannot model a *worker process* dying or wedging: the
 victim is another interpreter.  Instead, ``_worker_run`` calls
@@ -14,7 +14,7 @@ Spec grammar (a single spec per variable)::
     crashrate:p=0.2,seed=7,attempts=1
 
 * ``crash`` —  ``os._exit(1)`` (the pool sees ``BrokenProcessPool``)
-  when the payload matches every ``field=value`` filter and the
+  when the run key matches every ``field=value`` filter and the
   harness-reported attempt number is ``<= attempts``.
 * ``hang`` — sleep ``seconds`` (default 3600) under the same
   conditions; the harness's per-run timeout must rescue the sweep.
@@ -26,7 +26,8 @@ Spec grammar (a single spec per variable)::
 
 ``attempts`` defaults to 1 so a retried key recovers — the common
 transient-fault shape.  Use ``attempts=-1`` for a hard failure that
-exhausts the retry budget.
+exhausts the pool attempts and reaches the in-process
+``serial-fallback`` attempt (where the shim is not consulted).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Dict
 
 ENV_VAR = "REPRO_WORKER_FAULTS"
 
-#: Payload fields a spec may filter on, in payload order.
+#: Run-key fields a spec may filter on, in hashing order.
 _KEY_FIELDS = ("benchmark", "collector", "instances", "dataset", "mode",
                "llc_size", "scale")
 
@@ -61,11 +62,18 @@ def _key_fraction(key_fields: Dict[str, str], seed: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2 ** 64
 
 
-def maybe_fault(payload, attempt: int) -> None:
+def _key_fields(key) -> Dict[str, str]:
+    """A ``RunKey``'s filterable fields as the strings specs name."""
+    fields = {name: str(getattr(key, name)) for name in _KEY_FIELDS}
+    fields["mode"] = key.mode.value
+    return fields
+
+
+def maybe_fault(key, attempt: int) -> None:
     """Crash or hang this worker if the environment spec says so.
 
-    ``payload`` is ``_worker_run``'s key tuple; ``attempt`` is the
-    harness's 1-based attempt counter for the key (passed down so
+    ``key`` is the task's ``RunKey``; ``attempt`` is the harness's
+    1-based attempt counter for the key (passed down so
     crash-on-first-attempt faults are deterministic even though pool
     workers are recycled between tasks).
     """
@@ -73,8 +81,7 @@ def maybe_fault(payload, attempt: int) -> None:
     if not spec:
         return
     fields = _parse(spec)
-    key_fields = {name: str(value)
-                  for name, value in zip(_KEY_FIELDS, payload)}
+    key_fields = _key_fields(key)
     attempts = int(fields.get("attempts", "1"))
     if attempts >= 0 and attempt > attempts:
         return

@@ -14,26 +14,24 @@ input order.  The sweep is crash-tolerant:
 
 * every fresh key is submitted as its own future with a per-run
   ``timeout``, so one wedged worker cannot stall the whole pool;
-* failures retry under a :class:`RetryPolicy` (bounded attempts, no
-  delay: a run is a pure function of its key and workers are local);
-* a worker crash (``BrokenProcessPool``), a hang (timeout), or an
-  unpicklable payload charges the affected keys an attempt, the pool is
-  rebuilt, and the surviving futures' results are kept — completed work
-  is never discarded;
-* a key that keeps failing at the pool level degrades to one in-process
-  serial attempt before being recorded as a failure;
+* a run is a pure function of its key, so an exception raised by the
+  run itself is recorded as a :class:`FailureRecord` on its first
+  attempt, on the pool and serial paths alike;
+* only infrastructure failures are retried, at once: a worker crash
+  (``BrokenProcessPool``) or a hang (timeout) charges the affected keys
+  an attempt, the pool is rebuilt, and the surviving futures' results
+  are kept — completed work is never discarded;
+* a key that loses :data:`POOL_ATTEMPTS` attempts that way gets one
+  in-process ``serial-fallback`` attempt before being recorded as a
+  failure, and a pool that cannot start degrades the sweep to serial;
 * the :class:`SweepReport` accounts for every input key exactly once —
   a :class:`RunOutcome` holding either the result or a
   :class:`FailureRecord` — instead of raising away completed siblings;
+  :meth:`SweepReport.raise_first_failure` is the strict mode;
 * with ``checkpoint=``, each completion is appended to a JSONL file
   (result plus the run's isolated metrics snapshot) and ``resume=True``
   replays finished keys without re-executing them, reproducing the
   merged metrics registry bit-identically.
-
-:meth:`run_many` remains the strict façade: it runs a sweep and either
-returns the plain result list or re-raises the first failure — but only
-after every salvageable key has completed (and checkpointed, when
-enabled).
 """
 
 from __future__ import annotations
@@ -70,25 +68,14 @@ class RunKey:
     placement: str = "static"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry budget for sweep runs.
-
-    A failed run is retried at once, up to ``max_attempts`` attempts in
-    all.  A key whose pool attempts were all lost to infrastructure
-    failures (crashes, hangs) gets one final in-process attempt.
-    """
-
-    max_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+#: Pool attempts a key may lose to worker crashes and timeouts before
+#: its one in-process ``serial-fallback`` attempt.
+POOL_ATTEMPTS = 3
 
 
 @dataclass
 class FailureRecord:
-    """Why a run key ultimately failed (after retries)."""
+    """Why a run key failed."""
 
     exception_type: str
     message: str
@@ -183,47 +170,50 @@ def _worker_init() -> None:
         signal.signal(signum, signal.SIG_DFL)
 
 
-def _worker_run(payload: Tuple[str, str, int, str, str, int, int, int, bool,
-                               str]
+def _execute(key: RunKey, profile: bool) -> MeasurementResult:
+    """Build a platform and run ``key``'s configuration, uncached.
+
+    The one execution path for serial runs and pool workers alike;
+    ``profile`` enables the attribution profiler for this run only.
+    """
+    from repro.workloads.registry import benchmark_factory
+
+    scale = ScaleConfig(scale=key.scale)
+    platform = HybridMemoryPlatform(mode=key.mode, scale=scale,
+                                    llc_size_override=key.llc_size,
+                                    placement=key.placement)
+    factory = benchmark_factory(key.benchmark)
+
+    def make_app(index: int, scale=scale):
+        return factory(index, dataset=key.dataset, scale=scale)
+
+    if profile:
+        PROFILER.enable()
+    try:
+        return platform.run(make_app, collector=key.collector,
+                            instances=key.instances)
+    finally:
+        if profile:
+            PROFILER.disable()
+
+
+def _worker_run(task: Tuple[RunKey, int, bool]
                 ) -> Tuple[MeasurementResult, Dict[str, Dict[str, float]]]:
-    """Execute one configuration in a pool worker process.
+    """Execute one ``(key, attempt, profile)`` task in a pool worker.
 
     Module-level so it pickles under the default (fork or spawn) start
     method.  The worker's global registry is reset first: pool workers
     are reused across tasks (and fork inherits the parent's counters),
     so without the reset a worker's snapshot would double-count earlier
-    runs when merged.  The ``attempt`` element exists for the env-keyed
-    fault shim (crash/hang-on-Nth-attempt testing); the trailing
-    ``profile`` flag and ``placement`` name ride at the end so
-    ``maybe_fault``'s ``payload[:7]`` key stays stable (workers are
-    reused, so the profiler is always restored afterwards).
+    runs when merged.  ``attempt`` is for the env-keyed fault shim
+    (crash or hang on the Nth attempt).
     """
     from repro.faults.worker import maybe_fault
-    from repro.workloads.registry import benchmark_factory
 
-    benchmark, collector, instances, dataset, mode_value, llc_size, \
-        scale_int, attempt, profile, placement = payload
-    maybe_fault(payload[:7], attempt)
+    key, attempt, profile = task
+    maybe_fault(key, attempt)
     METRICS.reset()
-    platform = HybridMemoryPlatform(mode=EmulationMode(mode_value),
-                                    scale=ScaleConfig(scale=scale_int),
-                                    llc_size_override=llc_size,
-                                    placement=placement)
-    factory = benchmark_factory(benchmark)
-    scale = ScaleConfig(scale=scale_int)
-
-    def make_app(index: int, scale=scale):
-        return factory(index, dataset=dataset, scale=scale)
-
-    if profile:
-        PROFILER.enable()
-    try:
-        result = platform.run(make_app, collector=collector,
-                              instances=instances)
-    finally:
-        if profile:
-            PROFILER.disable()
-    return result, METRICS.as_dict()
+    return _execute(key, profile), METRICS.as_dict()
 
 
 class ExperimentRunner:
@@ -271,7 +261,7 @@ class ExperimentRunner:
         METRICS.inc("runner.cache.misses")
         trace_start = TRACER.begin() if TRACER.enabled else 0.0
         host_start = time.perf_counter()
-        result = self._execute(key)
+        result = _execute(key, self.profile)
         host_seconds = time.perf_counter() - host_start
         self._cache[key] = result
         self.executions += 1
@@ -289,28 +279,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def _execute(self, key: RunKey) -> MeasurementResult:
-        """Build a platform and run ``key``'s configuration, uncached."""
-        from repro.workloads.registry import benchmark_factory
-
-        scale = ScaleConfig(scale=key.scale)
-        platform = HybridMemoryPlatform(mode=key.mode, scale=scale,
-                                        llc_size_override=key.llc_size,
-                                        placement=key.placement)
-        factory = benchmark_factory(key.benchmark)
-
-        def make_app(index: int, scale=scale):
-            return factory(index, dataset=key.dataset, scale=scale)
-
-        if self.profile:
-            PROFILER.enable()
-        try:
-            return platform.run(make_app, collector=key.collector,
-                                instances=key.instances)
-        finally:
-            if self.profile:
-                PROFILER.disable()
-
     def _run_isolated(self, key: RunKey
                       ) -> Tuple[MeasurementResult, Dict]:
         """Execute ``key`` in-process with a worker-style isolated
@@ -325,59 +293,41 @@ class ExperimentRunner:
         saved = METRICS.as_dict()
         METRICS.reset()
         try:
-            result = self._execute(key)
+            result = _execute(key, self.profile)
             snapshot = METRICS.as_dict()
         finally:
             METRICS.reset()
             METRICS.merge(saved)
         return result, snapshot
 
-    def _payload(self, key: RunKey, attempt: int):
-        return (key.benchmark, key.collector, key.instances, key.dataset,
-                key.mode.value, key.llc_size, key.scale, attempt,
-                self.profile, key.placement)
-
     @staticmethod
-    def _note_retry(key: RunKey, attempt: int, exc: BaseException) -> None:
-        METRICS.inc("runner.retries")
-        if TRACER.enabled:
-            TRACER.event("runner.retry", benchmark=key.benchmark,
-                         collector=key.collector, attempt=attempt,
-                         error=type(exc).__name__)
-
-    @staticmethod
-    def _note_giveup(key: RunKey, attempts: int,
-                     exc: BaseException) -> None:
+    def _failed(key: RunKey, attempts: int, worker: str,
+                exc: BaseException) -> _Exec:
+        """Record ``key``'s failure; no further attempt follows."""
         if TRACER.enabled:
             TRACER.event("runner.giveup", benchmark=key.benchmark,
                          collector=key.collector, attempts=attempts,
                          error=type(exc).__name__)
+        return _Exec(attempts=attempts, failure=FailureRecord(
+            exception_type=type(exc).__name__, message=str(exc),
+            attempts=attempts, worker=worker, exception=exc))
 
-    def _serial_attempts(self, key: RunKey, retry: RetryPolicy) -> _Exec:
-        """Run one key in-process with the retry schedule applied."""
-        last_exc: Optional[BaseException] = None
-        for attempt in range(1, retry.max_attempts + 1):
-            if attempt > 1:
-                self._note_retry(key, attempt, last_exc)
-            try:
-                result, snapshot = self._run_isolated(key)
-                return _Exec(result=result, snapshot=snapshot,
-                             attempts=attempt)
-            except Exception as exc:  # noqa: BLE001 - recorded, reported
-                last_exc = exc
-        self._note_giveup(key, retry.max_attempts, last_exc)
-        return _Exec(attempts=retry.max_attempts, failure=FailureRecord(
-            exception_type=type(last_exc).__name__, message=str(last_exc),
-            attempts=retry.max_attempts, worker="serial",
-            exception=last_exc))
+    def _serial_attempt(self, key: RunKey, attempts: int = 1,
+                        worker: str = "serial") -> _Exec:
+        """Run ``key`` once in-process; an exception is its failure."""
+        try:
+            result, snapshot = self._run_isolated(key)
+        except Exception as exc:  # noqa: BLE001 - recorded, reported
+            return self._failed(key, attempts, worker, exc)
+        return _Exec(result=result, snapshot=snapshot, attempts=attempts)
 
     def _pool_attempts(self, fresh: List[RunKey], max_workers: Optional[int],
-                       retry: RetryPolicy, timeout: Optional[float],
+                       timeout: Optional[float],
                        on_success: Callable[[RunKey, MeasurementResult, Dict],
                                             None]) -> Dict[RunKey, _Exec]:
-        """Per-future pool execution with retries, timeouts, and pool
-        rebuilds.  Raises only for pool *creation* problems (the caller
-        degrades to serial); everything after that is handled per key.
+        """Per-future pool execution with timeouts and pool rebuilds.
+        Raises only for pool *creation* problems (the caller degrades
+        to serial); everything after that is handled per key.
         ``on_success`` fires as completions land (checkpoint append),
         not in input order — metric merging stays with the caller.
         """
@@ -392,8 +342,14 @@ class ExperimentRunner:
 
         def submit(key: RunKey) -> None:
             attempts[key] += 1
-            futures[key] = pool.submit(_worker_run,
-                                       self._payload(key, attempts[key]))
+            try:
+                futures[key] = pool.submit(
+                    _worker_run, (key, attempts[key], self.profile))
+            except BrokenProcessPool as exc:
+                # A worker died while tasks were still being handed
+                # out: this attempt is lost like the in-flight ones.
+                futures[key] = cf.Future()
+                futures[key].set_exception(exc)
 
         def rebuild() -> None:
             """Replace a broken/poisoned pool; resubmit unfinished keys.
@@ -419,38 +375,24 @@ class ExperimentRunner:
                 if key not in done:
                     submit(key)
 
-        def resolve_failure(key: RunKey, exc: BaseException,
-                            pool_level: bool) -> bool:
-            """Handle one failed attempt; returns True if the pool must
-            be rebuilt (key retried there or siblings resubmitted)."""
-            if attempts[key] < retry.max_attempts:
-                self._note_retry(key, attempts[key] + 1, exc)
-                if not pool_level:
-                    submit(key)
-                return pool_level
-            # Retry budget exhausted.
-            if pool_level:
-                try:
-                    result, snapshot = self._run_isolated(key)
-                except Exception as serial_exc:  # noqa: BLE001
-                    self._note_giveup(key, attempts[key], serial_exc)
-                    done[key] = _Exec(attempts=attempts[key],
-                                      failure=FailureRecord(
-                        exception_type=type(serial_exc).__name__,
-                        message=str(serial_exc), attempts=attempts[key],
-                        worker="serial-fallback", exception=serial_exc))
-                else:
-                    METRICS.inc("runner.pool_degraded")
-                    done[key] = _Exec(result=result, snapshot=snapshot,
-                                      attempts=attempts[key])
-                    on_success(key, result, snapshot)
+        def lost(key: RunKey, exc: BaseException) -> None:
+            """The pool lost ``key``'s attempt: the rebuilt pool retries
+            it, or after POOL_ATTEMPTS it runs once in-process."""
+            if attempts[key] < POOL_ATTEMPTS:
+                METRICS.inc("runner.retries")
+                if TRACER.enabled:
+                    TRACER.event("runner.retry", benchmark=key.benchmark,
+                                 collector=key.collector,
+                                 attempt=attempts[key] + 1,
+                                 error=type(exc).__name__)
             else:
-                self._note_giveup(key, attempts[key], exc)
-                done[key] = _Exec(attempts=attempts[key],
-                                  failure=FailureRecord(
-                    exception_type=type(exc).__name__, message=str(exc),
-                    attempts=attempts[key], worker="pool", exception=exc))
-            return pool_level
+                record = self._serial_attempt(key, attempts[key],
+                                              "serial-fallback")
+                if record.result is not None:
+                    METRICS.inc("runner.pool_degraded")
+                    on_success(key, record.result, record.snapshot)
+                done[key] = record
+            rebuild()
 
         for key in fresh:
             submit(key)
@@ -464,15 +406,13 @@ class ExperimentRunner:
                     result, snapshot = futures[key].result(timeout=timeout)
                 except cf.TimeoutError:
                     METRICS.inc("runner.timeouts")
-                    hung = TimeoutError(
-                        f"run exceeded {timeout}s in a pool worker")
-                    if resolve_failure(key, hung, pool_level=True):
-                        rebuild()
+                    lost(key, TimeoutError(
+                        f"run exceeded {timeout}s in a pool worker"))
                 except BrokenProcessPool as exc:
-                    if resolve_failure(key, exc, pool_level=True):
-                        rebuild()
-                except Exception as exc:  # noqa: BLE001 - worker raised
-                    resolve_failure(key, exc, pool_level=False)
+                    lost(key, exc)
+                except Exception as exc:  # noqa: BLE001 - the run raised
+                    done[key] = self._failed(key, attempts[key], "pool",
+                                             exc)
                 else:
                     done[key] = _Exec(result=result, snapshot=snapshot,
                                       attempts=attempts[key])
@@ -485,7 +425,6 @@ class ExperimentRunner:
     # Sweeps
     # ------------------------------------------------------------------
     def sweep(self, keys: List[RunKey], max_workers: Optional[int] = None,
-              retry: Optional[RetryPolicy] = None,
               timeout: Optional[float] = None,
               checkpoint: Optional[str] = None,
               resume: bool = False) -> SweepReport:
@@ -493,9 +432,11 @@ class ExperimentRunner:
 
         Fresh keys fan out across a process pool (serial in-process
         when ``max_workers=1``, the pool cannot start, or there is at
-        most one fresh key) under ``retry``/``timeout``.  Worker-side
-        metric snapshots merge in input order, so the registry ends up
-        identical run-to-run regardless of pool scheduling.  Cached
+        most one fresh key).  A run that raises is recorded on its
+        first attempt; only a worker crash or a ``timeout`` is retried
+        (see the module docstring).  Worker-side metric snapshots merge
+        in input order, so the registry ends up identical run-to-run
+        regardless of pool scheduling.  Cached
         keys are answered from the memoisation cache; duplicates
         execute once.
 
@@ -514,7 +455,6 @@ class ExperimentRunner:
                              f"got {max_workers}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        retry = retry or RetryPolicy()
         order = list(keys)
         ckpt = None
         restored: Dict[RunKey, Tuple[MeasurementResult, Dict]] = {}
@@ -554,14 +494,14 @@ class ExperimentRunner:
         serial = max_workers == 1 or len(fresh) <= 1
         if fresh and not serial:
             try:
-                executed = self._pool_attempts(fresh, max_workers, retry,
-                                               timeout, on_success)
+                executed = self._pool_attempts(fresh, max_workers, timeout,
+                                               on_success)
             except (ImportError, OSError, PermissionError):
                 executed = {}  # pool unavailable: serial fallback
                 METRICS.inc("runner.pool_degraded")
         if fresh and not executed:
             for key in fresh:
-                record = self._serial_attempts(key, retry)
+                record = self._serial_attempt(key)
                 if record.result is not None:
                     on_success(key, record.result, record.snapshot)
                 executed[key] = record
@@ -613,25 +553,6 @@ class ExperimentRunner:
             self.cache_hits += hits
             METRICS.inc("runner.cache.hits", hits)
         return SweepReport(outcomes=outcomes)
-
-    def run_many(self, keys: List[RunKey],
-                 max_workers: Optional[int] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 timeout: Optional[float] = None,
-                 checkpoint: Optional[str] = None,
-                 resume: bool = False) -> List[MeasurementResult]:
-        """Strict sweep: the result list, or the first failure re-raised.
-
-        Unlike the old ``pool.map`` fan-out, a failing key no longer
-        discards its siblings — every salvageable key completes, lands
-        in the cache (and the checkpoint, when given), and *then* the
-        first failure propagates.
-        """
-        report = self.sweep(keys, max_workers=max_workers, retry=retry,
-                            timeout=timeout, checkpoint=checkpoint,
-                            resume=resume)
-        report.raise_first_failure()
-        return [outcome.result for outcome in report.outcomes]
 
     def pcm_writes(self, benchmark: str, collector: str = "PCM-Only",
                    **kwargs) -> int:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tests.analyze.conftest import CLEAN, PLANTED
 from repro.cli import main
 
@@ -64,6 +66,19 @@ class TestSelection:
         rules = {f["rule"] for f in report["findings"]}
         assert not rules & {"L001", "L002", "H001"}
         assert "C001" in rules
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--select", "asyncsafety"), ("--select", "C001,C999"),
+        ("--ignore", "layring"),
+    ])
+    def test_unknown_name_is_a_usage_error(self, flag, value, capsys):
+        # A misspelt selector must not scan and pass with 0 findings.
+        assert main(["lint", str(PLANTED), "--baseline", "none",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown {flag}" in captured.err
+        assert "C001" in captured.err and "determinism" in captured.err
 
 
 class TestBaselineFlow:

@@ -1,4 +1,4 @@
-"""The second-pass project index and call graph (repro.analyze.graph).
+"""The second-pass project index (repro.analyze.graph).
 
 Modules are built from inline sources on synthetic ``repro/...`` paths
 (``module_name_for`` anchors at the last ``repro`` component), so each
@@ -79,10 +79,6 @@ def make_project():
     return build_project(modules, LintConfig())
 
 
-def edges_from(project, fid):
-    return {(e.callee, e.via) for e in project.graph.callees(fid)}
-
-
 class TestProjectIndex:
     def test_functions_are_module_qualified(self):
         project = make_project()
@@ -118,50 +114,6 @@ class TestProjectIndex:
             "repro.kernel.alpha", "numpy.zeros") is None
         assert project.index.resolve_dotted(
             "repro.kernel.alpha", "ghost") is None
-
-    def test_lookup_method_searches_project_bases(self):
-        project = make_project()
-        found = project.index.lookup_method(
-            "repro.kernel.alpha::Kernel", "ping")
-        assert found is not None
-        assert found.fid == "repro.kernel.alpha::Base.ping"
-        assert project.index.lookup_method(
-            "repro.kernel.alpha::Kernel", "absent") is None
-
-    def test_attr_types_pinned_from_init(self):
-        project = make_project()
-        kernel = project.index.classes["repro.kernel.alpha::Kernel"]
-        assert kernel.attr_types == {
-            "helper": "repro.kernel.beta::Widget"}
-
-
-class TestCallGraphEdges:
-    def test_every_provable_edge_kind(self):
-        project = make_project()
-        run = edges_from(project, "repro.kernel.alpha::Kernel.run")
-        assert ("repro.kernel.alpha::Kernel.step", "self") in run
-        assert ("repro.kernel.alpha::Base.ping", "self") in run
-        assert ("repro.kernel.beta::Widget.__init__",
-                "constructor") in run
-        assert ("repro.kernel.beta::Widget.spin", "local-var") in run
-        assert ("repro.kernel.beta::Widget.spin", "attr") in run
-        assert ("repro.kernel.beta::Widget.spin", "chain") in run
-        assert ("repro.kernel.alpha::util", "direct") in run
-        assert ("repro.kernel.alpha::Kernel.run.inner", "nested") in run
-
-    def test_constructor_edge_from_init(self):
-        project = make_project()
-        init = edges_from(project, "repro.kernel.alpha::Kernel.__init__")
-        assert ("repro.kernel.beta::Widget.__init__",
-                "constructor") in init
-
-    def test_no_edges_invented_for_unknown_receivers(self):
-        project = make_project()
-        callees = {e.callee for edges in project.graph.edges.values()
-                   for e in edges}
-        assert all(c.startswith("repro.") for c in callees)
-        assert project.graph.callees("repro.harness.delta::standalone") \
-            == []
 
 
 class TestReverseImporters:

@@ -10,8 +10,8 @@ account for all eight keys exactly once, in input order.
 import pytest
 
 from repro.core.platform import EmulationMode
-from repro.faults.worker import ENV_VAR, _KEY_FIELDS, _key_fraction
-from repro.harness.experiment import ExperimentRunner, RetryPolicy, RunKey
+from repro.faults.worker import ENV_VAR, _key_fields, _key_fraction
+from repro.harness.experiment import ExperimentRunner, RunKey
 from repro.observability.metrics import METRICS
 
 from tests.pool_watchdog import with_watchdog
@@ -24,10 +24,7 @@ SPEC = "crashrate:p=0.2,seed=3,attempts=1"
 
 
 def _crashes(key: RunKey) -> bool:
-    fields = dict(zip(_KEY_FIELDS, (
-        key.benchmark, key.collector, str(key.instances), key.dataset,
-        key.mode.value, str(key.llc_size), str(key.scale))))
-    return _key_fraction(fields, "3") < 0.2
+    return _key_fraction(_key_fields(key), "3") < 0.2
 
 
 @pytest.fixture(autouse=True)
@@ -42,8 +39,7 @@ def test_chaos_sweep_completes_with_every_key_accounted(monkeypatch):
     assert doomed, "seed 3 must kill at least one key or the test is moot"
     monkeypatch.setenv(ENV_VAR, SPEC)
     runner = ExperimentRunner()
-    report = with_watchdog(lambda: runner.sweep(
-        KEYS, max_workers=4, retry=RetryPolicy(max_attempts=3)))
+    report = with_watchdog(lambda: runner.sweep(KEYS, max_workers=4))
     assert [outcome.key for outcome in report.outcomes] == KEYS
     assert report.ok, [
         (o.key.collector, o.failure.exception_type) for o in report.failures]

@@ -3,8 +3,8 @@
 A fault raised mid-phase rips through several open spans (monitor
 sample inside mutator inside run; GC phases inside a collection).  The
 tracer must unwind to depth zero, the profiler must unhook its
-boundary callback, and a retried sweep attempt must start from a clean
-stack — otherwise one injected fault poisons the attribution of every
+boundary callback, and the next sweep after a recorded failure must
+start from a clean stack — otherwise one injected fault poisons the attribution of every
 later run in the process.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
 from repro.faults import FAULTS, FaultError, FaultPlan
-from repro.harness.experiment import ExperimentRunner, RetryPolicy, RunKey
+from repro.harness.experiment import ExperimentRunner, RunKey
 from repro.observability.metrics import METRICS
 from repro.observability.profile import PROFILER
 from repro.observability.trace import TRACER
@@ -108,36 +108,42 @@ class TestFaultMidSpan:
         assert PROFILER.active is False
 
 
-class TestSweepRetries:
-    def test_retried_attempt_profiles_cleanly(self):
-        """Attempt 1 faults mid-span; attempt 2 must succeed with a
-        conserving profile and an empty span stack."""
+class TestSweepFaults:
+    KEY = RunKey("fop", "KG-W", 1, "default", EmulationMode.EMULATION)
+
+    def test_faulted_attempt_leaves_next_sweep_profiling_cleanly(self):
+        """The first sweep faults mid-span and is recorded on attempt 1;
+        the next sweep of the same key must succeed with a profile and
+        an empty span stack."""
         runner = ExperimentRunner(profile=True)
         plan = FaultPlan().add("monitor.sample", at=2, times=1)
-        key = RunKey("fop", "KG-W", 1, "default", EmulationMode.EMULATION)
         TRACER.enable()
         try:
             with FAULTS.installed(plan):
-                report = runner.sweep([key], max_workers=1,
-                                      retry=RetryPolicy(max_attempts=3))
+                failed = runner.sweep([self.KEY], max_workers=1)
+                assert TRACER.depth() == 0
+                assert PROFILER.active is False
+                report = runner.sweep([self.KEY], max_workers=1)
         finally:
             TRACER.disable()
+        assert failed.outcomes[0].failure.attempts == 1
+        assert METRICS.value("runner.retries") == 0
         (outcome,) = report.outcomes
         assert outcome.failure is None
-        assert outcome.attempts == 2
+        assert outcome.attempts == 1
         assert outcome.result.profile is not None
         assert TRACER.depth() == 0
         assert PROFILER.active is False
 
-    def test_exhausted_retries_leave_clean_state(self):
+    def test_recorded_failure_leaves_clean_state(self):
         runner = ExperimentRunner(profile=True)
         plan = FaultPlan().add("monitor.sample", at=2, times=-1)
-        key = RunKey("fop", "KG-W", 1, "default", EmulationMode.EMULATION)
         with FAULTS.installed(plan):
-            report = runner.sweep([key], max_workers=1,
-                                  retry=RetryPolicy(max_attempts=2))
+            report = runner.sweep([self.KEY], max_workers=1)
         (outcome,) = report.outcomes
         assert outcome.failure is not None
+        assert outcome.failure.attempts == 1
+        assert METRICS.value("runner.retries") == 0
         assert report.profiles == [None]
         assert TRACER.depth() == 0
         assert PROFILER.active is False

@@ -1,13 +1,15 @@
-"""Crash-tolerant sweeps: retries, timeouts, degradation, checkpoints."""
+"""Crash-tolerant sweeps: infrastructure retries, timeouts, degradation,
+checkpoints."""
 
 import pytest
 
 from repro.core.platform import EmulationMode
+from repro.faults import FAULTS, FaultPlan
 from repro.faults.worker import ENV_VAR
 from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.experiment import (
+    POOL_ATTEMPTS,
     ExperimentRunner,
-    RetryPolicy,
     RunKey,
     SweepReport,
 )
@@ -50,22 +52,15 @@ def _comparable_metrics():
             if "seconds" not in name and not name.startswith("runner.")}
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-
 class TestWorkerCrashRecovery:
     def test_one_crash_retries_and_siblings_survive(self, monkeypatch):
         """The acceptance sweep: >= 8 keys, one worker crash on the
         first attempt.  Every other key completes, the crashed key is
-        retried per policy, and the report accounts for each input key
+        retried in the rebuilt pool, and the report accounts for each input key
         exactly once, in input order."""
         monkeypatch.setenv(ENV_VAR, "crash:collector=KG-B,attempts=1")
         runner = ExperimentRunner()
-        report = with_watchdog(lambda: runner.sweep(
-            EIGHT, max_workers=4, retry=RetryPolicy(max_attempts=3)))
+        report = with_watchdog(lambda: runner.sweep(EIGHT, max_workers=4))
         assert isinstance(report, SweepReport)
         assert [outcome.key for outcome in report.outcomes] == EIGHT
         assert report.ok
@@ -80,49 +75,109 @@ class TestWorkerCrashRecovery:
         METRICS.reset()
         monkeypatch.setenv(ENV_VAR, "crash:collector=KG-N,attempts=1")
         chaotic = with_watchdog(lambda: ExperimentRunner().sweep(
-            EIGHT[:3], max_workers=2, retry=RetryPolicy(max_attempts=3)))
+            EIGHT[:3], max_workers=2))
         assert _values(chaotic.results) == _values(serial.results)
+
+    def test_pool_broken_during_submission_is_retried(self, monkeypatch):
+        """A worker can die while later keys are still being submitted;
+        ``submit`` then raises ``BrokenProcessPool`` and that key's
+        attempt is lost like an in-flight one, not the whole sweep."""
+        import concurrent.futures as cf
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = cf.ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(pool, fn, *args, **kwargs):
+            calls.append(fn)
+            if len(calls) == 2:
+                raise BrokenProcessPool("a worker died during submission")
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(cf.ProcessPoolExecutor, "submit", submit)
+        runner = ExperimentRunner()
+        report = with_watchdog(lambda: runner.sweep(EIGHT[:3],
+                                                    max_workers=2))
+        assert report.ok
+        assert report.outcomes[1].attempts == 2
+        assert METRICS.value("runner.retries") >= 1
+
+    def test_persistent_crash_falls_back_to_one_serial_attempt(
+            self, monkeypatch):
+        """A key whose worker dies on every pool attempt gets one
+        in-process attempt, where the worker shim does not reach."""
+        reference = ExperimentRunner().sweep([EIGHT[1]], max_workers=1)
+        METRICS.reset()
+        monkeypatch.setenv(ENV_VAR, "crash:collector=KG-N,attempts=-1")
+        runner = ExperimentRunner()
+        report = with_watchdog(lambda: runner.sweep(EIGHT[:3],
+                                                    max_workers=2))
+        assert report.ok
+        doomed = report.outcomes[1]
+        assert doomed.key.collector == "KG-N"
+        assert doomed.attempts >= POOL_ATTEMPTS
+        assert METRICS.value("runner.pool_degraded") >= 1
+        assert _values([doomed.result]) == _values(reference.results)
 
 
 class TestPersistentFailure:
     BAD = [_key("fop"), _key("no-such-benchmark"), _key("fop", "KG-N")]
 
     def test_failure_outcome_with_sibling_results(self):
-        """A key that keeps failing (here: unknown benchmark, raised
-        inside the worker) yields a failure RunOutcome while its
-        siblings return results — the old pool.map path lost them."""
+        """A key that fails (here: unknown benchmark, raised inside the
+        worker) yields a failure RunOutcome on its first attempt while
+        its siblings return results — the old pool.map path lost them."""
         runner = ExperimentRunner()
-        report = with_watchdog(lambda: runner.sweep(
-            self.BAD, max_workers=2, retry=RetryPolicy(max_attempts=2)))
+        report = with_watchdog(lambda: runner.sweep(self.BAD,
+                                                    max_workers=2))
         assert not report.ok
         assert [outcome.ok for outcome in report.outcomes] == [
             True, False, True]
         failure = report.outcomes[1].failure
         assert failure.exception_type == "KeyError"
-        assert failure.attempts == 2
+        assert (failure.worker, failure.attempts) == ("pool", 1)
         assert "no-such-benchmark" in failure.message
         assert METRICS.value("runner.failures") == 1
+        assert METRICS.value("runner.retries") == 0
 
-    def test_run_many_raises_only_after_siblings_complete(self):
+    def test_in_process_fault_in_pool_worker_runs_once(self):
+        """A fault armed in-process before the pool starts is inherited
+        by the forked workers; the run raises there and is recorded on
+        attempt 1, like any exception from the run itself."""
+        plan = FaultPlan().add("runtime.gc", at=1, times=-1)
         runner = ExperimentRunner()
-        with pytest.raises(KeyError, match="no-such-benchmark"):
-            with_watchdog(lambda: runner.run_many(
-                self.BAD, max_workers=2, retry=RetryPolicy(max_attempts=1)))
+        with FAULTS.installed(plan):
+            report = with_watchdog(lambda: runner.sweep(EIGHT[:2],
+                                                        max_workers=2))
+        assert [o.ok for o in report.outcomes] == [False, False]
+        for outcome in report.outcomes:
+            failure = outcome.failure
+            assert failure.exception_type == "FaultError"
+            assert (failure.worker, failure.attempts) == ("pool", 1)
+        assert METRICS.value("runner.retries") == 0
+        assert runner.executions == 0
+
+    def test_raise_first_failure_only_after_siblings_complete(self):
+        runner = ExperimentRunner()
+        report = with_watchdog(lambda: runner.sweep(self.BAD,
+                                                    max_workers=2))
         # Both healthy keys finished and were cached before the raise.
         assert runner.executions == 2
+        with pytest.raises(KeyError, match="no-such-benchmark"):
+            report.raise_first_failure()
 
     def test_serial_sweep_records_failures_too(self):
         runner = ExperimentRunner()
-        report = runner.sweep(self.BAD, max_workers=1,
-                              retry=RetryPolicy(max_attempts=2))
+        report = runner.sweep(self.BAD, max_workers=1)
         assert [outcome.ok for outcome in report.outcomes] == [
             True, False, True]
-        assert report.outcomes[1].failure.worker == "serial"
+        failure = report.outcomes[1].failure
+        assert (failure.worker, failure.attempts) == ("serial", 1)
+        assert METRICS.value("runner.retries") == 0
 
     def test_raise_first_failure_reraises_the_instance(self):
         report = ExperimentRunner().sweep(
-            [_key("no-such-benchmark")], max_workers=1,
-            retry=RetryPolicy(max_attempts=1))
+            [_key("no-such-benchmark")], max_workers=1)
         with pytest.raises(KeyError):
             report.raise_first_failure()
 
@@ -134,7 +189,7 @@ class TestHangRescue:
         runner = ExperimentRunner()
         report = with_watchdog(lambda: runner.sweep(
             [_key("fop"), _key("fop", "KG-N"), _key("fop", "KG-W")],
-            max_workers=2, retry=RetryPolicy(max_attempts=3), timeout=8.0))
+            max_workers=2, timeout=8.0))
         assert report.ok
         hung = next(o for o in report.outcomes
                     if o.key.collector == "KG-N")
@@ -250,7 +305,7 @@ class TestCheckpointResume:
         path = str(tmp_path / "sweep.ckpt")
         report = ExperimentRunner().sweep(
             [_key("fop"), _key("no-such-benchmark")], max_workers=1,
-            retry=RetryPolicy(max_attempts=1), checkpoint=path)
+            checkpoint=path)
         assert not report.ok
         assert list(SweepCheckpoint(path).load()) == [_key("fop")]
 

@@ -1,4 +1,9 @@
-"""Parallel experiment fan-out: determinism, caching, metric merge."""
+"""Parallel experiment fan-out: determinism, caching, metric merge.
+
+``TestRunMany`` drives ``ExperimentRunner.sweep`` over many keys and
+reads the results the strict way (``raise_first_failure``, then the
+per-key results in input order).
+"""
 
 import pytest
 
@@ -21,6 +26,13 @@ def clean_registry():
     METRICS.reset()
 
 
+def _sweep(runner, keys, **kwargs):
+    """The strict per-key result list of one sweep."""
+    report = runner.sweep(keys, **kwargs)
+    report.raise_first_failure()
+    return report.results
+
+
 def _values(results):
     return [(r.pcm_write_lines, r.dram_write_lines, r.qpi_crossings,
              r.per_tag_pcm_writes, r.elapsed_seconds) for r in results]
@@ -31,36 +43,37 @@ class TestRunMany:
             _key("fop", "PCM-Only")]  # deliberate duplicate
 
     def test_parallel_matches_serial_bit_for_bit(self):
-        serial = ExperimentRunner().run_many(self.KEYS, max_workers=1)
+        serial = _sweep(ExperimentRunner(), self.KEYS, max_workers=1)
         METRICS.reset()
-        parallel = with_watchdog(lambda: ExperimentRunner().run_many(
-            self.KEYS, max_workers=2))
+        parallel = with_watchdog(lambda: _sweep(
+            ExperimentRunner(), self.KEYS, max_workers=2))
         assert _values(parallel) == _values(serial)
 
     def test_results_come_back_in_input_order(self):
-        results = with_watchdog(lambda: ExperimentRunner().run_many(
-            self.KEYS, max_workers=2))
+        results = with_watchdog(lambda: _sweep(
+            ExperimentRunner(), self.KEYS, max_workers=2))
         assert [r.collector for r in results] == ["PCM-Only", "KG-N",
                                                   "PCM-Only"]
 
     def test_duplicates_execute_once_and_count_as_hits(self):
         runner = ExperimentRunner()
-        results = with_watchdog(lambda: runner.run_many(
-            self.KEYS, max_workers=2))
+        results = with_watchdog(lambda: _sweep(
+            runner, self.KEYS, max_workers=2))
         assert runner.executions == 2
         assert runner.cache_hits == 1
         assert results[0] is results[2]
 
     def test_cached_keys_are_served_without_reexecution(self):
         runner = ExperimentRunner()
-        with_watchdog(lambda: runner.run_many(self.KEYS, max_workers=2))
+        with_watchdog(lambda: _sweep(runner, self.KEYS, max_workers=2))
         executions = runner.executions
-        again = runner.run_many(self.KEYS, max_workers=2)
+        again = _sweep(runner, self.KEYS, max_workers=2)
         assert runner.executions == executions
-        assert _values(again) == _values(runner.run_many(self.KEYS))
+        assert _values(again) == _values(_sweep(runner, self.KEYS))
 
     def test_worker_metrics_merge_into_parent_registry(self):
-        with_watchdog(lambda: ExperimentRunner().run_many(
+        with_watchdog(lambda: _sweep(
+            ExperimentRunner(),
             [_key("fop", "PCM-Only"), _key("fop", "KG-N")], max_workers=2))
         serial_snapshot = {
             name: summary

@@ -3,20 +3,16 @@
 The pool path has a chaos suite (``tests/faults/test_chaos.py``); this
 file gives the *serial* paths the same treatment — explicit
 ``max_workers=1`` sweeps, single-fresh-key serial execution, and the
-pool-creation-failure degradation — under in-process fault injection,
-retries, and the (pool-only) timeout knob.
+pool-creation-failure degradation — under in-process fault injection
+and the (pool-only) timeout knob.  A run is a pure function of its key,
+so an in-process fault is recorded on the first attempt, never retried.
 """
 
 import pytest
 
 from repro.core.platform import EmulationMode
 from repro.faults import FAULTS, FaultPlan
-from repro.harness.experiment import (
-    ExperimentRunner,
-    RetryPolicy,
-    RunKey,
-    SweepReport,
-)
+from repro.harness.experiment import ExperimentRunner, RunKey, SweepReport
 from repro.observability.metrics import METRICS
 
 
@@ -44,51 +40,55 @@ def pristine():
 
 
 class TestSerialUnderFaults:
-    def test_transient_fault_is_retried_in_process(self):
-        # One GC-safepoint crash on the first arrival: attempt 1 dies;
-        # by attempt 2 the arrival counter is past the armed window, so
-        # the retry completes.
+    def test_in_process_fault_is_recorded_on_attempt_one(self):
+        # A one-shot GC-safepoint crash on the first arrival: the key
+        # fails on its only attempt even though a rerun would pass.
         plan = FaultPlan().add("runtime.gc", at=1, times=1)
         runner = ExperimentRunner()
         with FAULTS.installed(plan):
-            report = runner.sweep([_key()], max_workers=1,
-                                  retry=RetryPolicy(max_attempts=3))
-        assert report.ok
-        assert report.outcomes[0].attempts == 2
-        assert METRICS.value("runner.retries") == 1
+            report = runner.sweep([_key()], max_workers=1)
+            failure = report.outcomes[0].failure
+            assert failure is not None
+            assert failure.exception_type == "FaultError"
+            assert failure.attempts == 1
+            assert METRICS.value("runner.retries") == 0
+            # Failed keys are not cached: the next sweep runs it again.
+            assert runner.sweep([_key()], max_workers=1).ok
+        assert runner.executions == 1
 
     def test_persistent_fault_yields_serial_failure_record(self):
         plan = FaultPlan().add("runtime.gc", at=1, times=-1)
         runner = ExperimentRunner()
         with FAULTS.installed(plan):
-            report = runner.sweep([_key()], max_workers=1,
-                                  retry=RetryPolicy(max_attempts=2))
+            report = runner.sweep([_key()], max_workers=1)
         assert not report.ok
         failure = report.outcomes[0].failure
         assert failure is not None
         assert failure.worker == "serial"
-        assert failure.attempts == 2
+        assert failure.attempts == 1
+        assert METRICS.value("runner.retries") == 0
+        assert METRICS.value("runner.failures") == 1
 
     def test_faulted_sibling_does_not_poison_serial_sweep(self):
         # A one-shot fault lands in key 1's first GC round; keys 2..3
-        # must still complete first-try while key 1 retries.
+        # must still complete first-try.
         plan = FaultPlan().add("runtime.gc", at=1, times=1)
         runner = ExperimentRunner()
         with FAULTS.installed(plan):
-            report = runner.sweep(THREE, max_workers=1,
-                                  retry=RetryPolicy(max_attempts=3))
-        assert report.ok
+            report = runner.sweep(THREE, max_workers=1)
         assert [o.key for o in report.outcomes] == THREE
-        assert report.outcomes[0].attempts == 2
-        assert report.outcomes[1].attempts == 1
-        assert report.outcomes[2].attempts == 1
+        assert [o.ok for o in report.outcomes] == [False, True, True]
+        assert [o.attempts for o in report.outcomes] == [1, 1, 1]
+        assert runner.executions == 2
 
     def test_serial_results_match_unfaulted_reference(self):
+        # The sweep after a faulted one is unpoisoned: bit-identical to
+        # a run that never saw a fault.
         plan = FaultPlan().add("runtime.gc", at=1, times=1)
         faulted = ExperimentRunner()
         with FAULTS.installed(plan):
-            report = faulted.sweep([_key()], max_workers=1,
-                                   retry=RetryPolicy(max_attempts=3))
+            assert not faulted.sweep([_key()], max_workers=1).ok
+            report = faulted.sweep([_key()], max_workers=1)
         reference = ExperimentRunner().sweep([_key()], max_workers=1)
         assert _values([report.outcomes[0].result]) \
             == _values([reference.outcomes[0].result])
@@ -104,14 +104,17 @@ class TestSerialTimeoutSemantics:
         assert report.ok
         assert report.outcomes[0].failure is None
 
-    def test_timeout_with_retries_and_faults_still_serial_safe(self):
+    def test_timeout_with_faults_still_serial_safe(self):
+        # A faulted serial run reports its own exception, not a
+        # timeout, and is not retried.
         plan = FaultPlan().add("runtime.gc", at=1, times=1)
         runner = ExperimentRunner()
         with FAULTS.installed(plan):
-            report = runner.sweep([_key()], max_workers=1, timeout=1e-9,
-                                  retry=RetryPolicy(max_attempts=3))
-        assert report.ok
-        assert report.outcomes[0].attempts == 2
+            report = runner.sweep([_key()], max_workers=1, timeout=1e-9)
+        failure = report.outcomes[0].failure
+        assert failure.exception_type == "FaultError"
+        assert failure.attempts == 1
+        assert METRICS.value("runner.timeouts") == 0
 
 
 class TestPoolCollapseDegradation:
@@ -135,10 +138,11 @@ class TestPoolCollapseDegradation:
         monkeypatch.setattr(runner, "_pool_attempts", explode)
         plan = FaultPlan().add("runtime.gc", at=1, times=-1)
         with FAULTS.installed(plan):
-            report = runner.sweep([_key()], max_workers=4,
-                                  retry=RetryPolicy(max_attempts=2))
+            report = runner.sweep([_key()], max_workers=4)
         assert not report.ok
-        assert report.outcomes[0].failure.worker == "serial"
+        failure = report.outcomes[0].failure
+        assert (failure.worker, failure.attempts) == ("serial", 1)
+        assert METRICS.value("runner.retries") == 0
 
     def test_degraded_results_match_pool_reference(self, monkeypatch):
         degraded = ExperimentRunner()

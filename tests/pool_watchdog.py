@@ -2,8 +2,8 @@
 
 pytest-timeout is not a dependency, so a process-pool deadlock would
 otherwise stall the whole suite.  Every tier-1 test that fans out
-through ``ExperimentRunner.run_many`` or ``sweep(max_workers > 1)``
-makes that call through :func:`with_watchdog`.
+through ``ExperimentRunner.sweep(max_workers > 1)`` makes that call
+through :func:`with_watchdog`.
 """
 
 import multiprocessing

@@ -34,6 +34,15 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "-c", "KG-XYZ"])
 
+    @pytest.mark.parametrize("verb", ["run", "stats", "profile"])
+    def test_unknown_benchmark_exits_two(self, verb, capsys):
+        # Checked before the platform is built: no KeyError traceback.
+        assert main([verb, "-b", "bogus", "-c", "KG-N"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown benchmark(s) bogus" in captured.err
+        assert "fop" in captured.err and "pr.cpp" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["run", "-b", "fop", "-c", "KG-W", "--engine", "perline"],
         ["stats", "-b", "fop", "--engine", "batched"],
@@ -237,15 +246,16 @@ class TestSanitize:
 
 
 class TestSweepArguments:
-    """Worker counts and timeouts the sweep cannot use exit 2 before
-    any run starts."""
+    """Benchmark names, worker counts and timeouts the sweep cannot
+    use exit 2 before any run starts."""
 
     @pytest.mark.parametrize("extra, message", [
         (["-j", "0"], "max_workers"),
         (["-j", "-3"], "max_workers"),
         (["--timeout", "-1", "-j", "2"], "timeout"),
         (["--timeout", "0", "-j", "2"], "timeout"),
-        (["--retries", "0"], "--retries"),
+        (["-b", "fop,bogus"], "unknown benchmark(s) bogus; choose from als,"),
+        (["-b", "nope,fop,bogus"], "unknown benchmark(s) nope, bogus"),
     ])
     def test_unusable_values_exit_two(self, extra, message, tmp_path,
                                       capsys):
@@ -255,3 +265,11 @@ class TestSweepArguments:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not checkpoint.exists()
+
+    def test_retries_option_is_gone(self, capsys):
+        # Only worker crashes and timeouts are retried, a fixed number
+        # of times, so there is nothing to set.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "-b", "fop", "--retries", "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
