@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.analyze.config import LintConfig
 from repro.analyze.engine import ModuleUnderAnalysis
@@ -31,8 +31,6 @@ class FunctionInfo:
     qualname: str
     name: str
     lineno: int
-    node: ast.AST               # FunctionDef | AsyncFunctionDef
-    owner: Optional[str] = None  # owning class fid, if a method
 
 
 @dataclass
@@ -43,7 +41,6 @@ class ClassInfo:
     module: str
     name: str                   # qualname within the module
     lineno: int
-    node: ast.ClassDef
 
 
 @dataclass
@@ -68,34 +65,6 @@ class ProjectIndex:
         self.modules: Dict[str, ModuleSymbols] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-
-    # -- resolution ----------------------------------------------------
-    def resolve_dotted(self, module_name: str,
-                       dotted: str) -> Optional[Tuple[str, str]]:
-        """Resolve an alias-expanded dotted name to ``(kind, fid)``.
-
-        ``kind`` is ``"class"`` or ``"func"``.  Local names win, then
-        the longest known-module prefix; unknown names return ``None``.
-        """
-        symbols = self.modules.get(module_name)
-        if symbols is not None:
-            if dotted in symbols.classes:
-                return ("class", f"{module_name}::{dotted}")
-            if dotted in symbols.functions:
-                return ("func", f"{module_name}::{dotted}")
-        parts = dotted.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            prefix = ".".join(parts[:cut])
-            target = self.modules.get(prefix)
-            if target is None:
-                continue
-            rest = ".".join(parts[cut:])
-            if rest in target.classes:
-                return ("class", f"{prefix}::{rest}")
-            if rest in target.functions:
-                return ("func", f"{prefix}::{rest}")
-            return None
-        return None
 
     # -- incremental-lint support --------------------------------------
     def reverse_importers(self, seeds: Iterable[str]) -> Set[str]:
@@ -159,17 +128,12 @@ def _extract_symbols(symbols: ModuleSymbols) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = ".".join(class_stack + func_stack + [node.name])
-                in_class = bool(class_stack) and not func_stack
-                owner = f"{symbols.name}::{'.'.join(class_stack)}" \
-                    if in_class else None
                 info = FunctionInfo(
                     fid=f"{symbols.name}::{qual}",
                     module=symbols.name,
                     qualname=qual,
                     name=node.name,
                     lineno=node.lineno,
-                    node=node,
-                    owner=owner,
                 )
                 symbols.functions[qual] = info
                 visit_body(node.body, class_stack,
@@ -181,7 +145,6 @@ def _extract_symbols(symbols: ModuleSymbols) -> None:
                     module=symbols.name,
                     name=qual,
                     lineno=node.lineno,
-                    node=node,
                 )
                 symbols.classes[qual] = cls
                 visit_body(node.body, class_stack + [node.name], [])

@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.config import DEFAULT_SCALE_CONFIG, RECOMMENDED_WRITE_RATE_MBS
 from repro.core.collectors import ALL_COLLECTOR_NAMES
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
-from repro.kernel.placement import placement_names
+from repro.kernel.placement import PLACEMENT_NAMES
 from repro.observability import (
     METRICS,
     PROFILER,
@@ -54,10 +54,10 @@ def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
                         choices=["default", "large"])
     parser.add_argument("--mode", default="emulation",
                         choices=["emulation", "simulation"])
-    parser.add_argument("--placement", default=None,
-                        choices=list(placement_names()),
+    parser.add_argument("--placement", default="static",
+                        choices=PLACEMENT_NAMES,
                         help="kernel page-placement policy (default: "
-                             "$REPRO_PLACEMENT or 'static')")
+                             "static)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["emulation", "simulation"])
     sweep.add_argument("--placement", default="static",
                        help="comma-separated placement policies "
-                            "(static, first-touch, interleave, migrate; "
+                            f"({', '.join(PLACEMENT_NAMES)}; "
                             "default: static)")
     sweep.add_argument("-j", "--jobs", type=int, default=None,
                        help="worker processes (default: one per core; "
@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--seed", type=int, default=0,
                           help="base RNG seed (trial i uses seed+i)")
     sanitize.add_argument("--placement", default="static",
-                          choices=list(placement_names()),
+                          choices=PLACEMENT_NAMES,
                           help="page-placement policy for both replays "
                                "(default: static)")
     sanitize.add_argument("--tick-every", type=int, default=0,
@@ -327,6 +327,7 @@ def _cmd_reproduce(name: str) -> int:
     import importlib
 
     from repro.experiments import EXPERIMENTS, run_all
+    from repro.harness.experiment import ExperimentRunner
 
     if name == "all":
         enable_console()
@@ -335,7 +336,7 @@ def _cmd_reproduce(name: str) -> int:
     if name not in EXPERIMENTS:
         return _unknown_experiment(name)
     module = importlib.import_module(f"repro.experiments.{name}")
-    print(module.run(None).text)
+    print(module.run(ExperimentRunner()).text)
     return 0
 
 
@@ -357,8 +358,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         TRACER.set_capacity(args.capacity)
     TRACER.clear()
     TRACER.enable()
-    # A fresh runner (not SHARED_RUNNER) so every measurement of the
-    # experiment genuinely executes and leaves a runner.run span.
+    # A fresh runner so every measurement of the experiment genuinely
+    # executes and leaves a runner.run span.
     runner = ExperimentRunner()
     module = importlib.import_module(f"repro.experiments.{args.experiment}")
     try:
@@ -404,10 +405,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
     placements = [p.strip() for p in args.placement.split(",") if p.strip()]
-    unknown = [p for p in placements if p not in placement_names()]
+    unknown = [p for p in placements if p not in PLACEMENT_NAMES]
     if unknown:
         print(f"unknown placement(s) {', '.join(unknown)}; choose from "
-              f"{', '.join(placement_names())}", file=sys.stderr)
+              f"{', '.join(PLACEMENT_NAMES)}", file=sys.stderr)
         return 2
     keys = [RunKey(benchmark, collector, count, args.dataset, mode,
                    placement=placement)

@@ -114,7 +114,7 @@ class MeasurementResult:
     #: None unless :data:`repro.observability.profile.PROFILER` was
     #: enabled during the run.
     profile: Optional[Dict[str, object]] = None
-    #: Resolved placement policy the kernel ran under.
+    #: Placement policy the kernel ran under.
     placement: str = "static"
     #: OS page migrations during the measured iteration (``migrate``
     #: placement only; zero otherwise).
@@ -220,7 +220,7 @@ class HybridMemoryPlatform:
                  monitor_interval_rounds: int = 8,
                  llc_size_override: int = 0,
                  track_wear: bool = False,
-                 placement: Optional[str] = None) -> None:
+                 placement: str = "static") -> None:
         self.mode = mode
         self.scale = scale
         self.latency = latency
@@ -228,8 +228,7 @@ class HybridMemoryPlatform:
         self.monitor_interval_rounds = monitor_interval_rounds
         self.llc_size_override = llc_size_override
         self.track_wear = track_wear
-        #: Placement-policy name (None honours $REPRO_PLACEMENT /
-        #: default); see :mod:`repro.kernel.placement`.
+        #: Placement-policy name; see :mod:`repro.kernel.placement`.
         self.placement = placement
 
     def _machine_spec(self) -> MachineSpec:

@@ -1,14 +1,15 @@
 """Per-table and per-figure reproduction scripts.
 
-Each module exposes ``run(runner=None) -> ExperimentOutput`` that
+Each module exposes ``run(runner) -> ExperimentOutput`` that
 regenerates the corresponding table or figure of the paper (as an ASCII
-rendering plus structured data), and can be executed directly::
+rendering plus structured data) with the
+:class:`~repro.harness.experiment.ExperimentRunner` it is given, and
+can be executed directly::
 
     python -m repro.experiments.table2
 
-Modules share an :class:`~repro.harness.experiment.ExperimentRunner`
-when invoked through :func:`run_all`, so overlapping measurements are
-reused.
+Modules share one runner when invoked through :func:`run_all`, so
+overlapping measurements are reused.
 """
 
 from repro.experiments.common import ExperimentOutput

@@ -5,12 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.config import DEFAULT_SCALE_CONFIG, ScaleConfig
-from repro.core.platform import EmulationMode, MeasurementResult
+from repro.core.platform import MeasurementResult
 from repro.harness.experiment import ExperimentRunner, RunKey
-from repro.observability.metrics import METRICS
 
 #: All DaCapo benchmarks (11 originals + the two updated variants).
 DACAPO_ALL = [
@@ -52,13 +50,6 @@ class ExperimentOutput:
         return self.text
 
 
-def ensure_runner(runner: Optional[ExperimentRunner]) -> ExperimentRunner:
-    if runner is not None:
-        return runner
-    from repro.harness.experiment import SHARED_RUNNER
-    return SHARED_RUNNER
-
-
 def error_result(key: RunKey) -> MeasurementResult:
     """A NaN-filled placeholder for a configuration that failed.
 
@@ -94,23 +85,15 @@ class ResilientRunner(ExperimentRunner):
         #: (key, exception) per configuration that failed.
         self.errors: List[Tuple[RunKey, BaseException]] = []
 
-    def run(self, benchmark: str, collector: str = "PCM-Only",
-            instances: int = 1, dataset: str = "default",
-            mode: EmulationMode = EmulationMode.EMULATION,
-            llc_size: int = 0,
-            scale: ScaleConfig = DEFAULT_SCALE_CONFIG,
-            placement: str = "static") -> MeasurementResult:
-        try:
-            return super().run(benchmark, collector, instances, dataset,
-                               mode, llc_size, scale, placement)
-        except Exception as exc:  # noqa: BLE001 - rendered as ERR
-            key = RunKey(benchmark, collector, instances, dataset, mode,
-                         llc_size, scale.scale, placement)
-            self.errors.append((key, exc))
-            METRICS.inc("runner.failures")
-            placeholder = error_result(key)
-            self._cache[key] = placeholder
-            return placeholder
+    def _run_key(self, key: RunKey) -> MeasurementResult:
+        """``key``'s result, or its cached placeholder if it failed."""
+        outcome = self.sweep([key], max_workers=1).outcomes[0]
+        if outcome.ok:
+            return outcome.result
+        self.errors.append((key, outcome.failure.exception))
+        placeholder = error_result(key)
+        self._cache[key] = placeholder
+        return placeholder
 
 
 def main(run_callable) -> None:  # pragma: no cover - CLI helper
@@ -128,7 +111,7 @@ def main(run_callable) -> None:  # pragma: no cover - CLI helper
                              "propagate (fail) or render the cell as ERR "
                              "(skip); default: fail")
     args = parser.parse_args()
-    runner = (ensure_runner(None) if args.on_error == "fail"
+    runner = (ExperimentRunner() if args.on_error == "fail"
               else ResilientRunner())
     output = run_callable(runner)
     print(output.text)

@@ -12,9 +12,9 @@ monitoring overhead.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.tables import format_table
 
@@ -22,8 +22,7 @@ BENCHMARKS = ["lusearch", "pmd", "pjbb", "pr", "cc", "als"]
 COLLECTORS = ["KG-N", "KG-CG", "KG-W"]
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for benchmark in BENCHMARKS:

@@ -9,12 +9,11 @@ PCM writes down around or below the C++ level.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.common import (
     GRAPHCHI_ALL,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
@@ -23,8 +22,7 @@ from repro.harness.tables import render_series
 SERIES = ["C++", "Java", "KG-N", "KG-W"]
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     normalized: Dict[str, Dict[str, float]] = {name: {} for name in SERIES}
     raw: Dict[str, Dict[str, int]] = {name: {} for name in SERIES}
     for app in GRAPHCHI_ALL:

@@ -8,13 +8,12 @@ writes to memory — while KG-W grows roughly linearly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.common import (
     DACAPO_MULTIPROG,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
@@ -53,8 +52,7 @@ def _suite_growth(runner: ExperimentRunner, collector: str
     return growth
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     pcm_only = _suite_growth(runner, "PCM-Only")
     kgw = _suite_growth(runner, "KG-W")
     text = render_series(

@@ -9,13 +9,12 @@ are a milder 1.7x and 4.7x.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.common import (
     DACAPO_MULTIPROG,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
@@ -25,8 +24,7 @@ from repro.harness.tables import render_series
 INSTANCE_COUNTS = (1, 2, 4)
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     writes: Dict[str, Dict[str, float]] = {"Pjbb": {}, "GraphChi": {}}
     rates: Dict[str, Dict[str, float]] = {"Pjbb": {}, "GraphChi": {}}
     for count in INSTANCE_COUNTS:

@@ -10,13 +10,12 @@ and Kingsguard — especially KG-W — pulls most workloads back under.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config import RECOMMENDED_WRITE_RATE_MBS
 from repro.experiments.common import (
     FIGURE6_BENCHMARKS,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
@@ -25,8 +24,7 @@ from repro.harness.tables import render_series
 COLLECTORS = ["PCM-Only", "KG-N", "KG-B", "KG-W"]
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     rates: Dict[str, Dict[str, float]] = {c: {} for c in COLLECTORS}
     for benchmark in FIGURE6_BENCHMARKS:
         for collector in COLLECTORS:

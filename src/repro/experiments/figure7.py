@@ -9,21 +9,19 @@ removing LOO from KG-W costs 1.5-2.3x; removing MDO costs only ~1.14x.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.common import (
     FIGURE7_COLLECTORS,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.tables import render_series
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     normalized: Dict[str, Dict[str, float]] = {
         c: {} for c in FIGURE7_COLLECTORS}
     for app in GRAPHCHI_ALL:

@@ -9,9 +9,9 @@ applications' rates dropping substantially when the input grows 10x.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.tables import render_series
 
@@ -24,8 +24,7 @@ BENCHMARKS: List[str] = [
 ]
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     relative: Dict[str, Dict[str, float]] = {c: {} for c in COLLECTORS}
     for benchmark in BENCHMARKS:
         for collector in COLLECTORS:

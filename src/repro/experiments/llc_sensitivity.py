@@ -12,10 +12,10 @@ KG-W's reductions at each point, reproducing the crossover from
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import DEFAULT_SCALE_CONFIG
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.metrics import average, percent_reduction
 from repro.harness.tables import render_series
@@ -31,8 +31,7 @@ LLC_POINTS = {
 }
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     series: Dict[str, Dict[str, float]] = {"KG-N": {}, "KG-W": {}}
     for label, llc_size in LLC_POINTS.items():
         for collector in ("KG-N", "KG-W"):

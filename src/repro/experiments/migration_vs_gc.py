@@ -21,13 +21,12 @@ avoids entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.lifetime import pcm_lifetime_years, worst_case_lifetime
 from repro.experiments.common import (
     FIGURE7_COLLECTORS,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
@@ -43,8 +42,7 @@ OS_POLICIES = ["first-touch", "interleave", "migrate"]
 GC_COLLECTORS = FIGURE7_COLLECTORS
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     rows: List[List[str]] = []
     data: Dict[str, Dict[str, float]] = {}
     rates: Dict[str, List[float]] = {}

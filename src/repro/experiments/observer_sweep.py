@@ -15,11 +15,11 @@ data: sweep the observer factor and measure, per size,
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.collectors.kingsguard import KingsguardCollector
 from repro.core.collectors.policy import collector_config
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.tables import format_table
 from repro.kernel.vm import Kernel
@@ -66,8 +66,8 @@ def vm_chunk(app) -> int:
     return DEFAULT_SCALE_CONFIG.chunk_size
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    ensure_runner(runner)  # sweep builds its own VMs
+def run(runner: ExperimentRunner) -> ExperimentOutput:
+    del runner  # sweep builds its own VMs
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for factor in OBSERVER_FACTORS:

@@ -14,10 +14,10 @@ checks that the qualitative conclusions are scale-invariant:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config import ScaleConfig
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.metrics import percent_reduction
 from repro.harness.tables import format_table
@@ -25,8 +25,7 @@ from repro.harness.tables import format_table
 SCALES = (64, 128)
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     data: Dict[str, Dict[str, float]] = {}
     rows = []
     for scale_factor in SCALES:

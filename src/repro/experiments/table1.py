@@ -6,17 +6,15 @@ heap spaces each collector binds to Socket 0 (DRAM) and Socket 1 (PCM).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.collectors.policy import collector_config, space_socket_table
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 
 COLLECTORS = ["KG-N", "KG-W", "KG-W-MDO"]
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    ensure_runner(runner)  # uniform signature; no measurements needed
+def run(runner: ExperimentRunner) -> ExperimentOutput:
+    del runner  # uniform signature; no measurements needed
     text = ("Table I: Kingsguard spaces and their socket mapping "
             "(S0 = DRAM, S1 = PCM)\n")
     text += space_socket_table(COLLECTORS)

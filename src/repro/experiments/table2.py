@@ -10,13 +10,12 @@ over KG-N (paper: 7 % simulated, 10 % emulated).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.platform import EmulationMode
 from repro.experiments.common import (
     DACAPO_SIMULATABLE,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
@@ -26,8 +25,7 @@ from repro.harness.tables import format_table
 COLLECTORS = ["KG-N", "KG-B", "KG-W"]
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     reductions: Dict[str, Dict[str, float]] = {}
     blowup: Dict[str, float] = {}
     overhead: Dict[str, float] = {}

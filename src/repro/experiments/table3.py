@@ -8,14 +8,13 @@ PCM-Only and KG-W, at three endurance levels.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.lifetime import PCM_ENDURANCE_LEVELS, pcm_lifetime_years
 from repro.experiments.common import (
     DACAPO_MULTIPROG,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    ensure_runner,
     main,
 )
 from repro.harness.experiment import ExperimentRunner
@@ -29,8 +28,7 @@ COLLECTORS = ["PCM-Only", "KG-W"]
 INSTANCE_COUNTS = (1, 4)
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     worst_rate: Dict[str, Dict[int, float]] = {}
     for collector in COLLECTORS:
         worst_rate[collector] = {}

@@ -13,11 +13,11 @@ could not see per-line wear through the CPU's aggregate counters).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.lifetime import pcm_lifetime_years
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.tables import format_table
 from repro.workloads.registry import benchmark_factory
@@ -26,8 +26,8 @@ BENCHMARKS = ["lusearch", "pjbb", "pr"]
 COLLECTORS = ["PCM-Only", "KG-W"]
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    ensure_runner(runner)  # wear runs use a dedicated tracking platform
+def run(runner: ExperimentRunner) -> ExperimentOutput:
+    del runner  # wear runs use a dedicated tracking platform
     platform = HybridMemoryPlatform(mode=EmulationMode.EMULATION,
                                     track_wear=True)
     rows = []

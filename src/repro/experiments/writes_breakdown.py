@@ -10,9 +10,9 @@ space for 1/2/4 instances of a benchmark under PCM-Only.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.experiments.common import ExperimentOutput, ensure_runner, main
+from repro.experiments.common import ExperimentOutput, main
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.tables import format_table
 
@@ -20,8 +20,7 @@ BENCHMARK = "lusearch"
 INSTANCE_COUNTS = (1, 2, 4)
 
 
-def run(runner: Optional[ExperimentRunner] = None) -> ExperimentOutput:
-    runner = ensure_runner(runner)
+def run(runner: ExperimentRunner) -> ExperimentOutput:
     breakdowns: Dict[int, Dict[str, int]] = {}
     for count in INSTANCE_COUNTS:
         result = runner.run(BENCHMARK, "PCM-Only", instances=count)

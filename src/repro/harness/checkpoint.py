@@ -13,7 +13,8 @@ Record layout (one JSON object per line)::
 
     {"schema": "repro.sweep_checkpoint/v1",
      "key": {"benchmark": ..., "collector": ..., "instances": ...,
-             "dataset": ..., "mode": ..., "llc_size": ..., "scale": ...},
+             "dataset": ..., "mode": ..., "llc_size": ..., "scale": ...,
+             "placement": ...},
      "result": {<MeasurementResult fields>},
      "metrics": {<MetricsRegistry.as_dict() snapshot>}}
 
@@ -192,35 +193,19 @@ def canonical_result(result_dict: Dict) -> Dict:
             if field not in _NONCANONICAL_RESULT_FIELDS}
 
 
-class CheckpointMismatch(ValueError):
-    """A checkpoint was written under a different placement policy.
-
-    Resuming would merge counters from two incompatible configurations
-    (e.g. a sweep checkpointed under ``$REPRO_PLACEMENT=migrate``
-    resumed under ``static``): a mismatch here means someone changed
-    the environment mid-sweep, which is exactly the silent-drift
-    scenario checkpoints exist to prevent.
-    """
-
-
 class SweepCheckpoint:
     """Append-only JSONL store of completed ``RunKey -> result`` pairs.
 
-    ``placement`` stamps the file with the policy the sweep runs under
-    (a ``"header"`` record written at truncate or first append).
-    :meth:`load` raises :class:`CheckpointMismatch` when the on-disk
-    stamp disagrees with this process's — headerless files written
-    before stamping existed load without complaint, and any other
-    header field (older files also stamped an ``engine``) is ignored.
+    Every record carries its whole key, placement included, so a file
+    needs no header.  Older files began with a ``"header"`` record (a
+    placement and, before that, an engine stamp); :meth:`load` skips it.
 
     The key type is imported lazily to avoid a cycle with
     :mod:`repro.harness.experiment` (which owns :class:`RunKey`).
     """
 
-    def __init__(self, path: str, placement: Optional[str] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        #: Placement stamp this process will write and check.
-        self.placement = placement
         #: Records appended by this process (not counting loaded ones).
         self.appended = 0
         #: Set by :meth:`load`: the file ended in a torn (crash-cut)
@@ -247,18 +232,10 @@ class SweepCheckpoint:
                       EmulationMode(data["mode"]), data["llc_size"],
                       data["scale"], data.get("placement", "static"))
 
-    def _header_record(self) -> Optional[Dict]:
-        if self.placement is None:
-            return None
-        return {"schema": CHECKPOINT_SCHEMA,
-                "header": {"placement": self.placement}}
-
     def truncate(self) -> None:
         """Start the checkpoint over (a sweep not asked to resume)."""
-        header = self._header_record()
-        with open(self.path, "w", encoding="utf-8") as handle:
-            if header is not None:
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
+        with open(self.path, "w", encoding="utf-8"):
+            pass
 
     def append(self, key, result: MeasurementResult,
                metrics: Optional[Dict] = None) -> None:
@@ -266,8 +243,7 @@ class SweepCheckpoint:
 
         A torn trailing record left by an earlier crash is truncated
         first — otherwise this record would share its line and both
-        would be lost on the next load.  An empty file gets the
-        placement header before its first record.
+        would be lost on the next load.
         """
         record = {
             "schema": CHECKPOINT_SCHEMA,
@@ -276,10 +252,7 @@ class SweepCheckpoint:
             "metrics": metrics or {},
         }
         repair_jsonl_tail(self.path)
-        header = self._header_record()
         with open(self.path, "a", encoding="utf-8") as handle:
-            if header is not None and handle.tell() == 0:
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
             handle.write(json.dumps(record, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -297,10 +270,7 @@ class SweepCheckpoint:
         is set.  Malformed complete lines are skipped and counted in
         :attr:`skipped` (the run they described is simply re-executed);
         later records for the same key win, matching append order.
-
-        Raises :class:`CheckpointMismatch` when the file carries a
-        placement header disagreeing with this checkpoint's stamp (both
-        sides must be known to conflict).
+        Header records of older files are skipped without counting.
         """
         restored: Dict = {}
         self.torn_tail = False
@@ -312,15 +282,11 @@ class SweepCheckpoint:
                 continue
             try:
                 record = json.loads(line)
-                if record.get("schema") != CHECKPOINT_SCHEMA:
-                    continue
-                if "header" in record:
-                    self._check_header(record["header"])
+                if (record.get("schema") != CHECKPOINT_SCHEMA
+                        or "header" in record):
                     continue
                 key = self._key_from_dict(record["key"])
                 result = result_from_dict(record["result"])
-            except CheckpointMismatch:
-                raise
             except (ValueError, KeyError, TypeError):
                 self.skipped += 1
                 METRICS.inc("checkpoint.skipped_records")
@@ -330,14 +296,3 @@ class SweepCheckpoint:
                 continue  # unreadable record: re-run that key
             restored[key] = (result, record.get("metrics", {}))
         return restored
-
-    def _check_header(self, header: Dict) -> None:
-        """Fail loudly when the stamped placement disagrees with ours."""
-        ours = self.placement
-        theirs = header.get("placement")
-        if ours is not None and theirs is not None and ours != theirs:
-            raise CheckpointMismatch(
-                f"checkpoint {self.path} was written under "
-                f"placement={theirs!r} but this sweep resolves "
-                f"placement={ours!r}; re-run under the original "
-                f"environment or start a fresh checkpoint")

@@ -5,6 +5,9 @@ PCM-Only single-instance runs appear in Figures 4, 5, and 6 and in
 Table III).  :class:`ExperimentRunner` memoises
 :class:`~repro.core.platform.MeasurementResult` objects by run key so a
 full reproduction pass never repeats a configuration.
+:meth:`ExperimentRunner.run` is a one-key serial sweep, so the cache,
+the ``runner.*`` metrics, the ``runner.run`` span and the narration
+live in one place: :meth:`ExperimentRunner.sweep`.
 
 Independent configurations are embarrassingly parallel — each platform
 run builds its own machine, kernel, and runtime — so
@@ -37,8 +40,7 @@ input order.  The sweep is crash-tolerant:
 from __future__ import annotations
 
 import signal
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_SCALE_CONFIG, ScaleConfig
@@ -173,7 +175,7 @@ def _worker_init() -> None:
 def _execute(key: RunKey, profile: bool) -> MeasurementResult:
     """Build a platform and run ``key``'s configuration, uncached.
 
-    The one execution path for serial runs and pool workers alike;
+    The one execution path for in-process runs and pool workers alike;
     ``profile`` enables the attribution profiler for this run only.
     """
     from repro.workloads.registry import benchmark_factory
@@ -226,7 +228,7 @@ class ExperimentRunner:
         ``repro`` logger (see :mod:`repro.observability.log`).
     profile:
         Enable the attribution profiler for every fresh run this
-        runner performs (serial, isolated, and pool workers alike);
+        runner performs (in-process and pool workers alike);
         results then carry a ``repro.profile/v1`` artifact in
         ``result.profile``.  A runner-level mode rather than a per-run
         flag so the memoisation cache stays internally consistent.
@@ -247,34 +249,16 @@ class ExperimentRunner:
             llc_size: int = 0,
             scale: ScaleConfig = DEFAULT_SCALE_CONFIG,
             placement: str = "static") -> MeasurementResult:
-        """Measure one configuration (cached)."""
-        key = RunKey(benchmark, collector, instances, dataset, mode,
-                     llc_size, scale.scale, placement)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            METRICS.inc("runner.cache.hits")
-            if TRACER.enabled:
-                TRACER.event("runner.cache_hit", benchmark=benchmark,
-                             collector=collector, instances=instances)
-            return cached
-        METRICS.inc("runner.cache.misses")
-        trace_start = TRACER.begin() if TRACER.enabled else 0.0
-        host_start = time.perf_counter()
-        result = _execute(key, self.profile)
-        host_seconds = time.perf_counter() - host_start
-        self._cache[key] = result
-        self.executions += 1
-        METRICS.inc("runner.executions")
-        METRICS.observe("runner.run_seconds", host_seconds)
-        if TRACER.enabled:
-            TRACER.complete("runner.run", trace_start, benchmark=benchmark,
-                            collector=collector, instances=instances,
-                            dataset=dataset, mode=mode.value,
-                            pcm_write_lines=result.pcm_write_lines)
-        if self.verbose:
-            narrate("  %s", result.describe())
-        return result
+        """Measure one configuration (cached); a failed run raises."""
+        return self._run_key(RunKey(benchmark, collector, instances,
+                                    dataset, mode, llc_size, scale.scale,
+                                    placement))
+
+    def _run_key(self, key: RunKey) -> MeasurementResult:
+        """``key``'s result through a one-key serial :meth:`sweep`."""
+        report = self.sweep([key], max_workers=1)
+        report.raise_first_failure()
+        return report.outcomes[0].result
 
     # ------------------------------------------------------------------
     # Execution plumbing
@@ -314,11 +298,22 @@ class ExperimentRunner:
 
     def _serial_attempt(self, key: RunKey, attempts: int = 1,
                         worker: str = "serial") -> _Exec:
-        """Run ``key`` once in-process; an exception is its failure."""
+        """Run ``key`` once in-process; an exception is its failure.
+
+        The only in-process execution, so it owns the ``runner.run``
+        span.
+        """
+        trace_start = TRACER.begin() if TRACER.enabled else 0.0
         try:
             result, snapshot = self._run_isolated(key)
         except Exception as exc:  # noqa: BLE001 - recorded, reported
             return self._failed(key, attempts, worker, exc)
+        if TRACER.enabled:
+            TRACER.complete("runner.run", trace_start,
+                            benchmark=key.benchmark, collector=key.collector,
+                            instances=key.instances, dataset=key.dataset,
+                            mode=key.mode.value,
+                            pcm_write_lines=result.pcm_write_lines)
         return _Exec(result=result, snapshot=snapshot, attempts=attempts)
 
     def _pool_attempts(self, fresh: List[RunKey], max_workers: Optional[int],
@@ -460,30 +455,14 @@ class ExperimentRunner:
         restored: Dict[RunKey, Tuple[MeasurementResult, Dict]] = {}
         if checkpoint:
             from repro.harness.checkpoint import SweepCheckpoint
-            from repro.kernel.placement import resolve_placement
-            # Stamp the checkpoint with the placement the runs will
-            # actually execute under: a resume under a different
-            # $REPRO_PLACEMENT would silently merge counters from two
-            # incompatible configurations.
-            ckpt = SweepCheckpoint(checkpoint,
-                                   placement=resolve_placement(None))
+            ckpt = SweepCheckpoint(checkpoint)
             if resume:
                 restored = ckpt.load()
             else:
                 ckpt.truncate()  # stale records must not resurrect later
 
-        entry_cached = set(self._cache)
-        fresh: List[RunKey] = []
-        replay: List[RunKey] = []
-        seen = set()
-        for key in order:
-            if key in entry_cached or key in seen:
-                continue
-            seen.add(key)
-            if key in restored:
-                replay.append(key)
-            else:
-                fresh.append(key)
+        fresh = [key for key in dict.fromkeys(order)
+                 if key not in self._cache and key not in restored]
 
         def on_success(key: RunKey, result: MeasurementResult,
                        snapshot: Dict) -> None:
@@ -506,24 +485,25 @@ class ExperimentRunner:
                     on_success(key, record.result, record.snapshot)
                 executed[key] = record
 
-        # ---- assemble in input order; merge metrics the same way
+        # ---- assemble in input order; merge metrics the same way.
+        # Only this loop adds to the cache, and every key it adds is in
+        # ``primary`` first, so a cache hit here was cached on entry.
         primary: Dict[RunKey, RunOutcome] = {}
         outcomes: List[RunOutcome] = []
         hits = 0
         for key in order:
             known = primary.get(key)
+            if known is None and key in self._cache:
+                known = RunOutcome(key=key, result=self._cache[key])
             if known is not None:
                 hits += 1
-                outcomes.append(RunOutcome(
-                    key=key, result=known.result, failure=known.failure,
-                    attempts=known.attempts, cached=True,
-                    from_checkpoint=known.from_checkpoint))
+                if TRACER.enabled:
+                    TRACER.event("runner.cache_hit", benchmark=key.benchmark,
+                                 collector=key.collector,
+                                 instances=key.instances)
+                outcomes.append(replace(known, cached=True))
                 continue
-            if key in entry_cached:
-                hits += 1
-                outcome = RunOutcome(key=key, result=self._cache[key],
-                                     cached=True)
-            elif key in restored:
+            if key in restored:
                 result, snapshot = restored[key]
                 METRICS.merge(snapshot)
                 METRICS.inc("runner.checkpoint.restored")
@@ -532,9 +512,9 @@ class ExperimentRunner:
                                      from_checkpoint=True)
             else:
                 record = executed[key]
+                METRICS.inc("runner.cache.misses")
                 if record.result is not None:
                     METRICS.merge(record.snapshot)
-                    METRICS.inc("runner.cache.misses")
                     METRICS.inc("runner.executions")
                     METRICS.observe("runner.run_seconds",
                                     record.result.host_seconds)
@@ -553,21 +533,3 @@ class ExperimentRunner:
             self.cache_hits += hits
             METRICS.inc("runner.cache.hits", hits)
         return SweepReport(outcomes=outcomes)
-
-    def pcm_writes(self, benchmark: str, collector: str = "PCM-Only",
-                   **kwargs) -> int:
-        return self.run(benchmark, collector, **kwargs).pcm_write_lines
-
-    def write_rate(self, benchmark: str, collector: str = "PCM-Only",
-                   **kwargs) -> float:
-        return self.run(benchmark, collector, **kwargs).pcm_write_rate_mbs
-
-    def suite_average_writes(self, benchmarks: List[str],
-                             **kwargs) -> float:
-        from repro.harness.metrics import average
-        return average([self.pcm_writes(b, **kwargs) for b in benchmarks])
-
-
-#: Module-level runner shared by the experiment scripts and benchmarks,
-#: so a pytest session reproducing every figure reuses measurements.
-SHARED_RUNNER = ExperimentRunner(verbose=False)

@@ -24,9 +24,9 @@ what an unmodified OS would do.  This module supplies the OS side:
     Migration copies are charged as explicit migration writes (see
     :meth:`repro.kernel.vm.Kernel.migrate_page`).
 
-Selection mirrors the access-engine registry: explicit ``placement=``
-arguments (``repro run --placement ...``) win over the
-``REPRO_PLACEMENT`` environment variable, which wins over ``static``.
+A run's policy is part of its key: ``placement=`` on
+:class:`~repro.kernel.vm.Kernel` (``repro run --placement ...``),
+``static`` when not given.
 
 Engine-identity: policies only act between accesses.  Hot-page counters
 are fed from ``machine.write_listeners``, which every engine calls once
@@ -38,7 +38,6 @@ translation.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 from repro.config import PAGE_SHIFT
@@ -48,41 +47,6 @@ from repro.machine.topology import DRAM_NODE, PCM_NODE
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.process import Process
     from repro.kernel.vm import Kernel
-
-#: Environment variable consulted when no explicit placement is given.
-PLACEMENT_ENV = "REPRO_PLACEMENT"
-#: Registry order is also the CLI help order.
-PLACEMENT_NAMES: Tuple[str, ...] = ("static", "first-touch", "interleave",
-                                    "migrate")
-DEFAULT_PLACEMENT = "static"
-
-_DESCRIPTIONS = {
-    "static": "honour the requested node, eager backing (default)",
-    "first-touch": "lazy backing from the faulting thread's node",
-    "interleave": "round-robin pages across nodes at bind time",
-    "migrate": "PCM-first with hot-page promotion into a DRAM budget",
-}
-
-
-def placement_names() -> Tuple[str, ...]:
-    """Valid placement names, in CLI presentation order."""
-    return PLACEMENT_NAMES
-
-
-def describe_placements() -> str:
-    """One line per policy, for ``--help`` text."""
-    return "; ".join(f"{n}: {_DESCRIPTIONS[n]}" for n in PLACEMENT_NAMES)
-
-
-def resolve_placement(name: Optional[str] = None) -> str:
-    """Resolve a placement name (or ``$REPRO_PLACEMENT``, or the default)."""
-    requested = name or os.environ.get(PLACEMENT_ENV) or DEFAULT_PLACEMENT
-    if requested not in PLACEMENT_NAMES:
-        raise ValueError(
-            f"unknown placement {requested!r}; choose from "
-            f"{', '.join(PLACEMENT_NAMES)}")
-    return requested
-
 
 class PlacementPolicy:
     """Per-process placement decisions; the base class is ``static``.
@@ -354,13 +318,20 @@ _POLICIES: Dict[str, Type[PlacementPolicy]] = {
     "interleave": InterleavePlacement,
     "migrate": MigrantStorePlacement,
 }
+#: Valid placement names; registry order is also the CLI help order.
+PLACEMENT_NAMES: Tuple[str, ...] = tuple(_POLICIES)
 
 
-def make_policy(name: str, kernel: "Kernel") -> PlacementPolicy:
-    """Instantiate the policy ``name`` for one process of ``kernel``."""
+def check_placement(name: str) -> str:
+    """``name`` itself; :class:`ValueError` unless it is a policy."""
     if name not in _POLICIES:
         raise ValueError(
             f"unknown placement {name!r}; choose from "
             f"{', '.join(PLACEMENT_NAMES)}")
-    policy: PlacementPolicy = _POLICIES[name](kernel)
+    return name
+
+
+def make_policy(name: str, kernel: "Kernel") -> PlacementPolicy:
+    """Instantiate the policy ``name`` for one process of ``kernel``."""
+    policy: PlacementPolicy = _POLICIES[check_placement(name)](kernel)
     return policy

@@ -26,8 +26,8 @@ from repro.faults.plan import FAULTS
 from repro.kernel.pagetable import LINES_PER_PAGE_SHIFT, PageFault
 from repro.kernel.placement import (
     PlacementPolicy,
+    check_placement,
     make_policy,
-    resolve_placement,
 )
 from repro.kernel.process import Process
 from repro.machine.numa import NumaMachine
@@ -43,11 +43,10 @@ class Kernel:
     """Owns the machine's physical memory and process table."""
 
     def __init__(self, machine: NumaMachine,
-                 placement: Optional[str] = None) -> None:
+                 placement: str = "static") -> None:
         self.machine = machine
-        #: Default placement policy name for new processes (explicit >
-        #: ``$REPRO_PLACEMENT`` > ``static``).
-        self.placement = resolve_placement(placement)
+        #: Default placement policy name for new processes.
+        self.placement = check_placement(placement)
         self.processes: List[Process] = []
         self._next_pid = 1
         #: Policies that need the per-round placement safepoint.

@@ -518,7 +518,7 @@ class DifferentialFuzzer:
                  max_shrink_evals: int = 250,
                  placement: str = "static",
                  tick_every: int = 0) -> None:
-        from repro.kernel.placement import placement_names
+        from repro.kernel.placement import check_placement
 
         if ops <= 0:
             raise ValueError("ops must be positive")
@@ -529,11 +529,7 @@ class DifferentialFuzzer:
         self.shrink = shrink
         self.check_every = check_every
         self.max_shrink_evals = max_shrink_evals
-        if placement not in placement_names():
-            raise ValueError(
-                f"unknown placement {placement!r}; choose from "
-                f"{', '.join(placement_names())}")
-        self.placement = placement
+        self.placement = check_placement(placement)
         self.tick_every = tick_every
 
     def _replay_both(self, trace: List[TraceOp], check_every: int = 0):

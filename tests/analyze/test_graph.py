@@ -85,35 +85,14 @@ class TestProjectIndex:
         info = project.index.functions["repro.kernel.alpha::Kernel.run"]
         assert info.module == "repro.kernel.alpha"
         assert info.qualname == "Kernel.run"
-        assert info.owner == "repro.kernel.alpha::Kernel"
+        assert info.name == "run"
 
     def test_nested_function_is_indexed(self):
         project = make_project()
         inner = project.index.functions[
             "repro.kernel.alpha::Kernel.run.inner"]
-        assert inner.owner is None  # not a method
-
-    def test_resolve_dotted_prefers_local_names(self):
-        project = make_project()
-        assert project.index.resolve_dotted(
-            "repro.kernel.alpha", "util") \
-            == ("func", "repro.kernel.alpha::util")
-        assert project.index.resolve_dotted(
-            "repro.kernel.alpha", "Kernel") \
-            == ("class", "repro.kernel.alpha::Kernel")
-
-    def test_resolve_dotted_walks_module_prefixes(self):
-        project = make_project()
-        assert project.index.resolve_dotted(
-            "repro.harness.gamma", "repro.kernel.beta.Widget") \
-            == ("class", "repro.kernel.beta::Widget")
-
-    def test_resolve_dotted_unknown_is_none(self):
-        project = make_project()
-        assert project.index.resolve_dotted(
-            "repro.kernel.alpha", "numpy.zeros") is None
-        assert project.index.resolve_dotted(
-            "repro.kernel.alpha", "ghost") is None
+        assert inner.qualname == "Kernel.run.inner"
+        assert "repro.kernel.alpha::Kernel" in project.index.classes
 
 
 class TestReverseImporters:

@@ -8,7 +8,6 @@ import pytest
 from repro.core.platform import EmulationMode, MeasurementResult
 from repro.harness.checkpoint import (
     CHECKPOINT_SCHEMA,
-    CheckpointMismatch,
     SweepCheckpoint,
     canonical_result,
     repair_jsonl_tail,
@@ -113,68 +112,60 @@ class TestCheckpointStore:
 
 
 class TestHeaderStamp:
-    """Checkpoints record the placement that produced them; a resume
-    under a different placement must fail loudly instead of merging
-    incomparable counters."""
+    """Files from before the placement moved into every key began with
+    a ``"header"`` record stamping it (and, earlier still, an engine);
+    the loader skips such a line without counting it as unreadable."""
 
-    def test_stamp_round_trips(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        store = SweepCheckpoint(path, placement="migrate")
-        store.append(_key(), _result())
-        with open(path, encoding="utf-8") as handle:
-            header = json.loads(handle.readline())["header"]
-        assert header == {"placement": "migrate"}
-        loader = SweepCheckpoint(path, placement="migrate")
-        assert list(loader.load()) == [_key()]
-
-    def _old_engine_stamped_file(self, path, placement):
-        # The header checkpoints carried before the engine stamp was
-        # dropped: both the engine and the placement.
-        header = {"schema": CHECKPOINT_SCHEMA,
-                  "header": {"engine": "perline", "placement": placement}}
+    @staticmethod
+    def _stamped_file(path, header):
+        """A checkpoint in the older format: header line, then a record."""
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
+            handle.write(json.dumps({"schema": CHECKPOINT_SCHEMA,
+                                     "header": header},
+                                    sort_keys=True) + "\n")
         SweepCheckpoint(path).append(_key(), _result())
 
     def test_old_engine_stamp_loads_under_matching_placement(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        self._old_engine_stamped_file(path, "static")
-        loader = SweepCheckpoint(path, placement="static")
+        self._stamped_file(path, {"engine": "perline",
+                                  "placement": "static"})
+        loader = SweepCheckpoint(path)
         assert list(loader.load()) == [_key()]
-
-    def test_old_engine_stamp_still_checks_placement(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        self._old_engine_stamped_file(path, "static")
-        with pytest.raises(CheckpointMismatch, match="placement"):
-            SweepCheckpoint(path, placement="migrate").load()
-
-    def test_placement_mismatch_raises(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        SweepCheckpoint(path, placement="migrate").append(_key(), _result())
-        with pytest.raises(CheckpointMismatch, match="placement"):
-            SweepCheckpoint(path, placement="static").load()
+        assert loader.skipped == 0
 
     def test_unstamped_loader_accepts_any_header(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
-        SweepCheckpoint(path, placement="migrate").append(_key(), _result())
-        assert list(SweepCheckpoint(path).load()) == [_key()]
+        self._stamped_file(path, {"placement": "migrate"})
+        loader = SweepCheckpoint(path)
+        assert list(loader.load()) == [_key()]
+        assert loader.skipped == 0
 
     def test_headerless_legacy_file_still_loads(self, tmp_path):
-        # Files written before the stamp existed carry no header
-        # record; a stamped loader must accept them (nothing to
-        # contradict), not invent a mismatch.
+        # The writer stamps nothing: one line per record, no header.
         path = str(tmp_path / "ckpt.jsonl")
         SweepCheckpoint(path).append(_key(), _result())
-        loader = SweepCheckpoint(path, placement="static")
-        assert list(loader.load()) == [_key()]
+        with open(path, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 1
+        assert list(SweepCheckpoint(path).load()) == [_key()]
 
-    def test_truncate_restamps(self, tmp_path):
+    @pytest.mark.parametrize("header", [
+        {"placement": "migrate"},
+        {"engine": "perline", "placement": "static"},
+    ], ids=["placement", "engine"])
+    def test_stamped_file_resumes_and_replays(self, tmp_path, header):
+        from repro.harness.experiment import ExperimentRunner
+
         path = str(tmp_path / "ckpt.jsonl")
-        store = SweepCheckpoint(path, placement="interleave")
-        store.append(_key(), _result())
-        store.truncate()
-        with pytest.raises(CheckpointMismatch):
-            SweepCheckpoint(path, placement="static").load()
+        self._stamped_file(path, header)
+        runner = ExperimentRunner()
+        report = runner.sweep([_key()], max_workers=1, checkpoint=path,
+                              resume=True)
+        assert report.outcomes[0].from_checkpoint
+        assert report.results == [_result()]
+        assert runner.executions == 0
+        loader = SweepCheckpoint(path)
+        loader.load()
+        assert loader.skipped == 0
 
     def test_key_placement_round_trips(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.platform import EmulationMode
 from repro.harness.experiment import ExperimentRunner, RunKey
+from repro.machine.topology import PCM_NODE
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,18 @@ class TestCaching:
         assert spans[0]["attrs"]["benchmark"] == "fop"
         assert len(tracer.events("runner.cache_hit")) == 1
 
+    def test_serial_sweep_emits_one_runner_span(self):
+        from repro.observability.trace import TRACER
+
+        key = RunKey("fop", "PCM-Only", 1, "default",
+                     EmulationMode.EMULATION)
+        with TRACER.capture() as tracer:
+            ExperimentRunner().sweep([key, key], max_workers=1)
+        spans = tracer.spans("runner.run")
+        assert len(spans) == 1
+        assert spans[0]["attrs"]["collector"] == "PCM-Only"
+        assert len(tracer.events("runner.cache_hit")) == 1
+
     def test_key_equality(self):
         a = RunKey("x", "KG-N", 1, "default", EmulationMode.EMULATION)
         b = RunKey("x", "KG-N", 1, "default", EmulationMode.EMULATION)
@@ -69,14 +82,21 @@ class TestCaching:
 
 
 class TestHelpers:
+    """The per-run figures the experiments read off ``run(...)``."""
+
     def test_pcm_writes_shortcut(self, runner):
-        assert runner.pcm_writes("fop") == \
-            runner.run("fop").pcm_write_lines
+        result = runner.run("fop")
+        assert result.pcm_write_lines > 0
+        assert result.pcm_write_lines == \
+            result.node_counters[PCM_NODE]["write_lines"]
 
     def test_write_rate_shortcut(self, runner):
-        assert runner.write_rate("fop") == \
-            runner.run("fop").pcm_write_rate_mbs
+        result = runner.run("fop")
+        assert result.pcm_write_rate_mbs == \
+            result.pcm_write_bytes / result.elapsed_seconds / 1e6
 
     def test_suite_average(self, runner):
-        value = runner.suite_average_writes(["fop"])
-        assert value == runner.pcm_writes("fop")
+        from repro.harness.metrics import average
+
+        value = average([runner.run(b).pcm_write_lines for b in ["fop"]])
+        assert value == runner.run("fop").pcm_write_lines

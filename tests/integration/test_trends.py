@@ -17,29 +17,32 @@ runner = ExperimentRunner()
 class TestFinding1EmulationMatchesSimulation:
     def test_kgw_reduction_agrees_across_modes(self):
         for mode in (EmulationMode.EMULATION, EmulationMode.SIMULATION):
-            baseline = runner.pcm_writes("lusearch", collector="PCM-Only",
-                                         mode=mode)
-            kgw = runner.pcm_writes("lusearch", collector="KG-W", mode=mode)
+            baseline = runner.run("lusearch", collector="PCM-Only",
+                                  mode=mode).pcm_write_lines
+            kgw = runner.run("lusearch", collector="KG-W",
+                             mode=mode).pcm_write_lines
             assert kgw < 0.6 * baseline
 
     def test_kgn_reduction_is_small_with_large_llc(self):
         # A 20 MB-equivalent LLC absorbs most nursery writes.
-        baseline = runner.pcm_writes("lusearch", collector="PCM-Only")
-        kgn = runner.pcm_writes("lusearch", collector="KG-N")
+        baseline = runner.run("lusearch", collector="PCM-Only").pcm_write_lines
+        kgn = runner.run("lusearch", collector="KG-N").pcm_write_lines
         assert 0.5 * baseline < kgn < baseline
 
 
 class TestFinding2JavaVsCpp:
     def test_java_writes_more_than_cpp_on_pcm_only(self):
         for app in ("pr", "cc"):
-            java = runner.pcm_writes(app, collector="PCM-Only")
-            cpp = runner.pcm_writes(app + ".cpp", collector="PCM-Only")
+            java = runner.run(app, collector="PCM-Only").pcm_write_lines
+            cpp = runner.run(app + ".cpp",
+                             collector="PCM-Only").pcm_write_lines
             assert 1.2 * cpp < java < 4.0 * cpp
 
     def test_kgw_brings_java_below_cpp(self):
         for app in ("pr", "cc", "als"):
-            kgw = runner.pcm_writes(app, collector="KG-W")
-            cpp = runner.pcm_writes(app + ".cpp", collector="PCM-Only")
+            kgw = runner.run(app, collector="KG-W").pcm_write_lines
+            cpp = runner.run(app + ".cpp",
+                             collector="PCM-Only").pcm_write_lines
             assert kgw < cpp
 
 
@@ -48,73 +51,75 @@ class TestFinding3Multiprogramming:
         # Finding 3 compares absolute write increases: KG-W's four
         # instances add far fewer PCM writes than PCM-Only's.
         bench = "lusearch"
-        pcm_1 = runner.pcm_writes(bench, "PCM-Only", instances=1)
-        pcm_4 = runner.pcm_writes(bench, "PCM-Only", instances=4)
-        kgw_1 = runner.pcm_writes(bench, "KG-W", instances=1)
-        kgw_4 = runner.pcm_writes(bench, "KG-W", instances=4)
+        pcm_1 = runner.run(bench, "PCM-Only", instances=1).pcm_write_lines
+        pcm_4 = runner.run(bench, "PCM-Only", instances=4).pcm_write_lines
+        kgw_1 = runner.run(bench, "KG-W", instances=1).pcm_write_lines
+        kgw_4 = runner.run(bench, "KG-W", instances=4).pcm_write_lines
         assert kgw_4 - kgw_1 < 0.5 * (pcm_4 - pcm_1)
         assert kgw_4 < pcm_4
 
     def test_pcm_only_growth_is_superlinear(self):
         bench = "lusearch"
-        pcm_1 = runner.pcm_writes(bench, "PCM-Only", instances=1)
-        pcm_4 = runner.pcm_writes(bench, "PCM-Only", instances=4)
+        pcm_1 = runner.run(bench, "PCM-Only", instances=1).pcm_write_lines
+        pcm_4 = runner.run(bench, "PCM-Only", instances=4).pcm_write_lines
         assert pcm_4 > 4.5 * pcm_1
 
 
 class TestFinding4SuiteDiversity:
     def test_graphchi_writes_dwarf_dacapo(self):
-        dacapo = runner.pcm_writes("fop", "PCM-Only")
-        graphchi = runner.pcm_writes("pr", "PCM-Only")
+        dacapo = runner.run("fop", "PCM-Only").pcm_write_lines
+        graphchi = runner.run("pr", "PCM-Only").pcm_write_lines
         assert graphchi > 5 * dacapo
 
     def test_pjbb_exceeds_typical_dacapo(self):
-        assert runner.pcm_writes("pjbb", "PCM-Only") > \
-            runner.pcm_writes("fop", "PCM-Only")
+        assert runner.run("pjbb", "PCM-Only").pcm_write_lines > \
+            runner.run("fop", "PCM-Only").pcm_write_lines
 
 
 class TestFinding5WriteRates:
     def test_graph_apps_exceed_recommended_rate(self):
         from repro.config import RECOMMENDED_WRITE_RATE_MBS
         for app in ("pr", "cc", "als"):
-            assert runner.write_rate(app, "PCM-Only") > \
+            assert runner.run(app, "PCM-Only").pcm_write_rate_mbs > \
                 RECOMMENDED_WRITE_RATE_MBS
 
     def test_kgw_reduces_rates(self):
         for app in ("pr", "lusearch"):
-            assert runner.write_rate(app, "KG-W") < \
-                runner.write_rate(app, "PCM-Only")
+            assert runner.run(app, "KG-W").pcm_write_rate_mbs < \
+                runner.run(app, "PCM-Only").pcm_write_rate_mbs
 
 
 class TestFinding6GraphChiOptimizations:
     def test_loo_reduces_kgn_writes(self):
-        kgn = runner.pcm_writes("pr", "KG-N")
-        kgn_loo = runner.pcm_writes("pr", "KG-N+LOO")
+        kgn = runner.run("pr", "KG-N").pcm_write_lines
+        kgn_loo = runner.run("pr", "KG-N+LOO").pcm_write_lines
         assert kgn_loo < kgn
 
     def test_removing_loo_from_kgw_costs(self):
-        kgw = runner.pcm_writes("pr", "KG-W")
-        without = runner.pcm_writes("pr", "KG-W-LOO")
+        kgw = runner.run("pr", "KG-W").pcm_write_lines
+        without = runner.run("pr", "KG-W-LOO").pcm_write_lines
         assert 1.3 * kgw < without < 3.0 * kgw
 
     def test_kgb_alone_adds_little_over_kgn(self):
-        kgn = runner.pcm_writes("pr", "KG-N")
-        kgb = runner.pcm_writes("pr", "KG-B")
+        kgn = runner.run("pr", "KG-N").pcm_write_lines
+        kgb = runner.run("pr", "KG-B").pcm_write_lines
         assert abs(kgb - kgn) < 0.25 * kgn
 
     def test_mdo_removal_is_marginal(self):
-        kgw = runner.pcm_writes("pr", "KG-W")
-        without = runner.pcm_writes("pr", "KG-W-MDO")
+        kgw = runner.run("pr", "KG-W").pcm_write_lines
+        without = runner.run("pr", "KG-W-MDO").pcm_write_lines
         assert without < 1.4 * kgw
 
 
 class TestFinding7LargeDatasets:
     def test_large_dataset_increases_total_writes(self):
-        default = runner.pcm_writes("lusearch", "PCM-Only")
-        large = runner.pcm_writes("lusearch", "PCM-Only", dataset="large")
+        default = runner.run("lusearch", "PCM-Only").pcm_write_lines
+        large = runner.run("lusearch", "PCM-Only",
+                           dataset="large").pcm_write_lines
         assert large > 1.5 * default
 
     def test_graph_rate_drops_with_large_input(self):
-        default = runner.write_rate("cc", "PCM-Only")
-        large = runner.write_rate("cc", "PCM-Only", dataset="large")
+        default = runner.run("cc", "PCM-Only").pcm_write_rate_mbs
+        large = runner.run("cc", "PCM-Only",
+                           dataset="large").pcm_write_rate_mbs
         assert large < default

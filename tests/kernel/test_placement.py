@@ -1,16 +1,11 @@
 """Tests for the placement-policy layer (static/first-touch/interleave/
-migrate) and its resolution rules."""
+migrate) and how a kernel picks its policy."""
 
 import pytest
 
 from repro.config import PAGE_SHIFT, PAGE_SIZE
 from repro.kernel.pagetable import PageFault
-from repro.kernel.placement import (
-    PLACEMENT_ENV,
-    MigrantStorePlacement,
-    placement_names,
-    resolve_placement,
-)
+from repro.kernel.placement import PLACEMENT_NAMES, MigrantStorePlacement
 from repro.kernel.process import Process
 from repro.kernel.vm import Kernel
 from repro.machine.topology import DRAM_NODE, PCM_NODE
@@ -44,30 +39,21 @@ def write_lines(process, vaddr, count):
 
 
 class TestResolution:
-    def test_default_is_static(self, monkeypatch):
-        monkeypatch.delenv(PLACEMENT_ENV, raising=False)
-        assert resolve_placement() == "static"
+    def test_default_is_static(self, machine):
+        from repro.core.platform import HybridMemoryPlatform
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(PLACEMENT_ENV, "interleave")
-        assert resolve_placement() == "interleave"
+        assert HybridMemoryPlatform().placement == "static"
+        assert Kernel(machine).placement == "static"
 
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(PLACEMENT_ENV, "interleave")
-        assert resolve_placement("migrate") == "migrate"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown placement"):
-            resolve_placement("numa-balancing")
-
-    def test_unknown_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(PLACEMENT_ENV, "bogus")
-        with pytest.raises(ValueError, match="unknown placement"):
-            resolve_placement()
+    def test_unknown_name_rejected(self, machine):
+        with pytest.raises(ValueError, match="unknown placement") as info:
+            Kernel(machine, placement="numa-balancing")
+        for name in PLACEMENT_NAMES:
+            assert name in str(info.value)
 
     def test_registry_order(self):
-        assert placement_names() == ("static", "first-touch",
-                                     "interleave", "migrate")
+        assert PLACEMENT_NAMES == ("static", "first-touch",
+                                   "interleave", "migrate")
 
     def test_kernel_resolves_at_construction(self, machine):
         assert Kernel(machine).placement == "static"

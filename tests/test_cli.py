@@ -273,3 +273,27 @@ class TestSweepArguments:
             main(["sweep", "-b", "fop", "--retries", "3"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSweepCheckpoint:
+    def test_resume_of_a_placement_stamped_checkpoint(self, tmp_path,
+                                                     capsys):
+        # Older checkpoints began with a header stamping the placement
+        # of the environment that wrote them.  Every key carries its
+        # own placement, so a resume replays the key whatever the
+        # stamp said.
+        from repro.harness.checkpoint import CHECKPOINT_SCHEMA
+
+        checkpoint = tmp_path / "ck.jsonl"
+        argv = ["sweep", "-b", "fop", "-c", "PCM-Only", "-j", "1",
+                "--checkpoint", str(checkpoint), "--json"]
+        assert main(argv) == 0
+        header = json.dumps({"schema": CHECKPOINT_SCHEMA,
+                             "header": {"placement": "migrate"}})
+        checkpoint.write_text(header + "\n" + checkpoint.read_text())
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        rows = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert [row["from_checkpoint"] for row in rows] == [True]
+        assert rows[0]["status"] == "ok"
