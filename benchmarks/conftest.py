@@ -1,7 +1,8 @@
 """Shared fixtures for the reproduction benchmarks.
 
 Each ``benchmarks/test_*.py`` regenerates one table or figure of the
-paper through pytest-benchmark.  A session-scoped
+paper with :func:`repro.experiments.reproduce`, timed by
+pytest-benchmark.  A session-scoped
 :class:`~repro.harness.experiment.ExperimentRunner` caches every
 platform measurement, so figures that share runs (Figures 4/5/6 and
 Table III in particular) do not repeat them.
@@ -9,6 +10,7 @@ Table III in particular) do not repeat them.
 
 import pytest
 
+from repro.experiments import reproduce
 from repro.harness.experiment import ExperimentRunner
 
 
@@ -23,3 +25,13 @@ def emit(output):
     print("=" * 72)
     print(output.text)
     print("=" * 72)
+
+
+def regenerate(benchmark, runner, name):
+    """Reproduce experiment ``name`` once under pytest-benchmark,
+    print it, and return its output; a failed run fails the test."""
+    outputs, failures = benchmark.pedantic(reproduce, args=([name], runner),
+                                           iterations=1, rounds=1)
+    assert not failures, [outcome.key for outcome in failures]
+    emit(outputs[name])
+    return outputs[name]

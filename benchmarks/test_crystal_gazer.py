@@ -4,15 +4,11 @@ Asserts the motivating trade-off: KG-CG recovers a large share of
 KG-W's PCM-write reduction without the observer/monitoring overhead.
 """
 
-from repro.experiments import crystal_gazer
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_crystal_gazer(benchmark, runner):
-    output = benchmark.pedantic(crystal_gazer.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "crystal_gazer")
     data = output.data
     better_than_kgn = 0
     cheaper_than_kgw = 0

@@ -5,15 +5,11 @@ system; with hybrid memory, KG-N lands around or below the C++ level
 and KG-W clearly below it.
 """
 
-from repro.experiments import figure3
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure3(benchmark, runner):
-    output = benchmark.pedantic(figure3.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "figure3")
     normalized = output.data["normalized"]
     for app in ("PR", "CC", "ALS"):
         java = normalized["Java"][app]

@@ -5,15 +5,11 @@ Paper shape: PCM-Only grows super-linearly from 1 to 4 instances
 KG-W stays roughly linear.
 """
 
-from repro.experiments import figure4
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure4(benchmark, runner):
-    output = benchmark.pedantic(figure4.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "figure4")
     pcm_only = output.data["PCM-Only"]
     kgw = output.data["KG-W"]
     # Super-linear growth under PCM-Only for the cache-sensitive suites.

@@ -6,15 +6,11 @@ the writes gap narrows with multiprogramming because DaCapo suffers the
 most LLC interference.
 """
 
-from repro.experiments import figure5
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure5(benchmark, runner):
-    output = benchmark.pedantic(figure5.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "figure5")
     writes = output.data["writes"]
     rates = output.data["rates"]
     # Single instance: both suites out-write DaCapo, GraphChi by a lot.

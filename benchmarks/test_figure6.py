@@ -7,16 +7,13 @@ especially) pulls rates down across the board.
 """
 
 from repro.config import RECOMMENDED_WRITE_RATE_MBS
-from repro.experiments import figure6
 from repro.experiments.common import DACAPO_ALL, GRAPHCHI_ALL
 
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure6(benchmark, runner):
-    output = benchmark.pedantic(figure6.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "figure6")
     rates = output.data["rates"]
     over = output.data["over_limit"]
     # All graph applications exceed the recommended rate on PCM-Only.

@@ -5,15 +5,11 @@ over KG-N; LOO helps both; removing LOO from KG-W costs 1.5-2.3x;
 removing MDO is marginal.
 """
 
-from repro.experiments import figure7
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure7(benchmark, runner):
-    output = benchmark.pedantic(figure7.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "figure7")
     normalized = output.data["normalized"]
     for app in ("PR", "CC"):
         kgn = normalized["KG-N"][app]

@@ -5,15 +5,11 @@ rise up to ~1.5x, and rates that fall substantially (graph applications
 drop ~60 % when the input grows 10x).
 """
 
-from repro.experiments import figure8
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure8(benchmark, runner):
-    output = benchmark.pedantic(figure8.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "figure8")
     relative = output.data["relative"]["PCM-Only"]
     # Graph applications: rates drop markedly with the 10x input.
     assert relative["pr"] < 0.75

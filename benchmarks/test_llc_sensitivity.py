@@ -5,15 +5,11 @@ The sweep behind the paper's Section V observation (81 % reduction at a
 memory, so DRAM nursery placement pays; a big LLC absorbs them first.
 """
 
-from repro.experiments import llc_sensitivity
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_llc_sensitivity(benchmark, runner):
-    output = benchmark.pedantic(llc_sensitivity.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "llc_sensitivity")
     kgn = output.data["series"]["KG-N"]
     kgw = output.data["series"]["KG-W"]
     # KG-N's benefit shrinks monotonically-ish as the LLC grows.

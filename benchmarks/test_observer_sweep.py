@@ -4,15 +4,11 @@ Validates the claim KG-W's 2x default rests on: growing the observer
 buys PCM-write protection but costs pause time.
 """
 
-from repro.experiments import observer_sweep
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_observer_sweep(benchmark, runner):
-    output = benchmark.pedantic(observer_sweep.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "observer_sweep")
     data = output.data
     # Bigger observer -> fewer PCM writes...
     assert data["4x"]["pcm_writes"] <= data["1x"]["pcm_writes"]

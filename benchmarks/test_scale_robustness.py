@@ -4,15 +4,11 @@ Validates DESIGN.md's central methodological bet — scaling every
 capacity by one factor preserves the ratios that drive the results.
 """
 
-from repro.experiments import scale_robustness
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_scale_robustness(benchmark, runner):
-    output = benchmark.pedantic(scale_robustness.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "scale_robustness")
     for scale, entry in output.data.items():
         assert entry["kgw_reduction"] > 50, scale
         assert entry["kgw_reduction"] > entry["kgn_reduction"] + 20, scale

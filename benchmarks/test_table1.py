@@ -1,14 +1,10 @@
 """Regenerate Table I: space-to-socket mapping."""
 
-from repro.experiments import table1
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table1(benchmark, runner):
-    output = benchmark.pedantic(table1.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "table1")
     kgn = output.data["KG-N"]
     kgw = output.data["KG-W"]
     kgw_mdo = output.data["KG-W-MDO"]

@@ -6,15 +6,11 @@ KG-W 64 % / 62 %; KG-B total-write blow-up 1.98x / 2.2x; KG-W overhead
 collectors, agreement between modes, and factor magnitudes.
 """
 
-from repro.experiments import table2
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table2(benchmark, runner):
-    output = benchmark.pedantic(table2.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "table2")
     reductions = output.data["reductions"]
     for mode in ("simulation", "emulation"):
         kgn = reductions[mode]["KG-N"]

@@ -6,15 +6,11 @@ PCM-Only; four-program workloads wear PCM out in a couple of years at
 scales lifetimes linearly.
 """
 
-from repro.experiments import table3
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table3(benchmark, runner):
-    output = benchmark.pedantic(table3.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "table3")
     lifetimes = output.data["lifetimes"]
 
     def years(endurance_label, collector, count):

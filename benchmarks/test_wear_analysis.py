@@ -5,15 +5,11 @@ levelling recovers a meaningful fraction of the ideal endurance, and
 KG-W's reduced write rate still dominates the lifetime improvement.
 """
 
-from repro.experiments import wear_analysis
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_wear_analysis(benchmark, runner):
-    output = benchmark.pedantic(wear_analysis.run, args=(runner,),
-                                iterations=1, rounds=1)
-    emit(output)
+    output = regenerate(benchmark, runner, "wear_analysis")
     data = output.data
     # Raw wear is never perfectly level.
     assert all(entry["imbalance"] >= 1.0 for entry in data.values())

@@ -323,27 +323,34 @@ def _unknown_experiment(name: str) -> int:
     return 2
 
 
-def _cmd_reproduce(name: str) -> int:
-    import importlib
+def _report_failures(failures) -> int:
+    """List a reproduction's failed keys, each whole, on stderr; the
+    exit code."""
+    for outcome in failures:
+        key = json.dumps(outcome.key.to_dict(), sort_keys=True)
+        print(f"ERR {key}: {outcome.failure.exception_type}: "
+              f"{outcome.failure.message}", file=sys.stderr)
+    return 1 if failures else 0
 
-    from repro.experiments import EXPERIMENTS, run_all
+
+def _cmd_reproduce(name: str) -> int:
+    from repro.experiments import EXPERIMENTS, reproduce
     from repro.harness.experiment import ExperimentRunner
 
+    if name != "all" and name not in EXPERIMENTS:
+        return _unknown_experiment(name)
     if name == "all":
         enable_console()
-        run_all(verbose=True)
-        return 0
-    if name not in EXPERIMENTS:
-        return _unknown_experiment(name)
-    module = importlib.import_module(f"repro.experiments.{name}")
-    print(module.run(ExperimentRunner()).text)
-    return 0
+    runner = ExperimentRunner(verbose=name == "all")
+    outputs, failures = reproduce(EXPERIMENTS if name == "all" else [name],
+                                  runner)
+    for output in outputs.values():
+        print(output.text)
+    return _report_failures(failures)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import importlib
-
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS, reproduce
     from repro.harness.experiment import ExperimentRunner
 
     if args.experiment not in EXPERIMENTS:
@@ -359,11 +366,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     TRACER.clear()
     TRACER.enable()
     # A fresh runner so every measurement of the experiment genuinely
-    # executes and leaves a runner.run span.
+    # executes, and in-process so each leaves a runner.run span here.
     runner = ExperimentRunner()
-    module = importlib.import_module(f"repro.experiments.{args.experiment}")
     try:
-        module.run(runner)
+        _, failures = reproduce([args.experiment], runner, max_workers=1)
         try:
             written = TRACER.export_jsonl(args.out)
         except OSError as exc:
@@ -378,7 +384,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"{args.experiment}: wrote {written} trace records to "
           f"{args.out}{dropped}; {runner.executions} runs, "
           f"{runner.cache_hits} cache hits")
-    return 0
+    return _report_failures(failures)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -154,8 +154,11 @@ class MeasurementResult:
         return self.pcm_write_lines - self.pcm_migration_write_lines
 
     def describe(self) -> str:
+        placement = ("" if self.placement == "static"
+                     else f", {self.placement}")
         return (f"{self.benchmark} x{self.instances} [{self.collector}, "
-                f"{self.mode.value}]: PCM {self.pcm_write_lines} lines "
+                f"{self.mode.value}{placement}]: "
+                f"PCM {self.pcm_write_lines} lines "
                 f"({self.pcm_write_rate_mbs:.1f} MB/s), "
                 f"DRAM {self.dram_write_lines} lines, "
                 f"{self.elapsed_seconds * 1e3:.2f} ms")

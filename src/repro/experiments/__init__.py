@@ -1,20 +1,15 @@
-"""Per-table and per-figure reproduction scripts.
+"""Per-table and per-figure reproductions of the paper.
 
-Each module exposes ``run(runner) -> ExperimentOutput`` that
-regenerates the corresponding table or figure of the paper (as an ASCII
-rendering plus structured data) with the
-:class:`~repro.harness.experiment.ExperimentRunner` it is given, and
-can be executed directly::
-
-    python -m repro.experiments.table2
-
-Modules share one runner when invoked through :func:`run_all`, so
-overlapping measurements are reused.
+Each module declares the run keys it reads, ``keys() -> List[RunKey]``,
+and renders its table or figure (ASCII text plus structured data) with
+a pure ``render(results) -> ExperimentOutput`` over a mapping from each
+declared key to its measurement.  :func:`reproduce` runs them, and
+``repro reproduce <id>|all`` calls it.
 """
 
 from repro.experiments.common import ExperimentOutput
 
-__all__ = ["ExperimentOutput", "run_all", "EXPERIMENTS"]
+__all__ = ["ExperimentOutput", "reproduce", "EXPERIMENTS"]
 
 EXPERIMENTS = [
     "table1",
@@ -37,24 +32,26 @@ EXPERIMENTS = [
 ]
 
 
-def run_all(verbose: bool = True):
-    """Regenerate every table and figure; returns outputs by name.
+def reproduce(names, runner, max_workers=None):
+    """Render the experiments ``names`` from one ``runner.sweep`` of
+    the union of their keys (deduplicated in declaration order; a pool
+    of ``max_workers``, ``1`` for in-process).  A failed key renders
+    as ``ERR`` cells (:func:`~repro.experiments.common.error_result`).
 
-    ``verbose`` narrates progress through the ``repro`` logger rather
-    than printing: attach a handler (the CLI uses
-    :func:`repro.observability.log.enable_console`) to see it.
+    Returns ``({name: ExperimentOutput}, failed RunOutcomes)``.
     """
     import importlib
 
-    from repro.harness.experiment import ExperimentRunner
-    from repro.observability.log import narrate
+    from repro.experiments.common import error_result
 
-    runner = ExperimentRunner(verbose=verbose)
-    outputs = {}
-    for name in EXPERIMENTS:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        output = module.run(runner)
-        outputs[name] = output
-        if verbose:
-            narrate("%s\n", output.text)
-    return outputs
+    modules = {name: importlib.import_module(f"repro.experiments.{name}")
+               for name in names}
+    keys = list(dict.fromkeys(key for module in modules.values()
+                              for key in module.keys()))
+    report = runner.sweep(keys, max_workers=max_workers)
+    results = {outcome.key: (outcome.result if outcome.ok
+                             else error_result(outcome.key))
+               for outcome in report.outcomes}
+    outputs = {name: module.render(results)
+               for name, module in modules.items()}
+    return outputs, report.failures

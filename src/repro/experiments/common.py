@@ -1,14 +1,15 @@
-"""Shared pieces for the experiment scripts."""
+"""Shared pieces for the experiment modules."""
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Mapping
 
 from repro.core.platform import MeasurementResult
-from repro.harness.experiment import ExperimentRunner, RunKey
+from repro.harness.experiment import RunKey
+
+#: What an experiment's ``render`` reads: one result per declared key.
+Results = Mapping[RunKey, MeasurementResult]
 
 #: All DaCapo benchmarks (11 originals + the two updated variants).
 DACAPO_ALL = [
@@ -68,56 +69,3 @@ def error_result(key: RunKey) -> MeasurementResult:
         instance_stats=[RuntimeStats() for _ in range(key.instances)],
         monitor_rates_mbs=[], qpi_crossings=nan,
         placement=key.placement)
-
-
-class ResilientRunner(ExperimentRunner):
-    """An :class:`ExperimentRunner` that survives failing cells.
-
-    A configuration that raises is recorded in :attr:`errors` and
-    replaced by :func:`error_result`, so its cell renders as ``ERR``.
-    A run is a pure function of its key, so the cell is not retried.
-    Failed keys are cached like successes so a configuration that
-    appears in several tables fails once, not once per cell.
-    """
-
-    def __init__(self, verbose: bool = False) -> None:
-        super().__init__(verbose=verbose)
-        #: (key, exception) per configuration that failed.
-        self.errors: List[Tuple[RunKey, BaseException]] = []
-
-    def _run_key(self, key: RunKey) -> MeasurementResult:
-        """``key``'s result, or its cached placeholder if it failed."""
-        outcome = self.sweep([key], max_workers=1).outcomes[0]
-        if outcome.ok:
-            return outcome.result
-        self.errors.append((key, outcome.failure.exception))
-        placeholder = error_result(key)
-        self._cache[key] = placeholder
-        return placeholder
-
-
-def main(run_callable) -> None:  # pragma: no cover - CLI helper
-    """Run an experiment module from the command line.
-
-    ``--on-error skip`` keeps a single failing configuration from
-    killing the whole table: the cell renders as ``ERR`` and the
-    failures are listed on stderr.
-    """
-    parser = argparse.ArgumentParser(
-        description=getattr(run_callable, "__doc__", None))
-    parser.add_argument("--on-error", choices=["fail", "skip"],
-                        default="fail",
-                        help="what to do when one configuration raises: "
-                             "propagate (fail) or render the cell as ERR "
-                             "(skip); default: fail")
-    args = parser.parse_args()
-    runner = (ExperimentRunner() if args.on_error == "fail"
-              else ResilientRunner())
-    output = run_callable(runner)
-    print(output.text)
-    errors = getattr(runner, "errors", [])
-    for key, exc in errors:
-        print(f"ERR {key.benchmark}/{key.collector}/n={key.instances}: "
-              f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    if errors:
-        sys.exit(1)

@@ -12,26 +12,31 @@ monitoring overhead.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 from repro.harness.tables import format_table
 
 BENCHMARKS = ["lusearch", "pmd", "pjbb", "pr", "cc", "als"]
 COLLECTORS = ["KG-N", "KG-CG", "KG-W"]
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector) for benchmark in BENCHMARKS
+            for collector in ["PCM-Only"] + COLLECTORS]
+
+
+def render(results: Results) -> ExperimentOutput:
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for benchmark in BENCHMARKS:
-        baseline = runner.run(benchmark, "PCM-Only")
-        kgn_time = runner.run(benchmark, "KG-N").elapsed_seconds
+        baseline = results[RunKey(benchmark, "PCM-Only")]
+        kgn_time = results[RunKey(benchmark, "KG-N")].elapsed_seconds
         row = [benchmark]
         entry: Dict[str, float] = {}
         for collector in COLLECTORS:
-            result = runner.run(benchmark, collector)
+            result = results[RunKey(benchmark, collector)]
             normalized = result.pcm_write_lines / max(
                 1, baseline.pcm_write_lines)
             overhead = 100.0 * (result.elapsed_seconds / kgn_time - 1.0)
@@ -52,7 +57,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
              "to DRAM: no observer space, no per-store\nmonitoring cost.")
     return ExperimentOutput("crystal_gazer", "Profile-driven rationing",
                             text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

@@ -9,27 +9,34 @@ PCM writes down around or below the C++ level.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.experiments.common import (
     GRAPHCHI_ALL,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.tables import render_series
 
 SERIES = ["C++", "Java", "KG-N", "KG-W"]
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [key for app in GRAPHCHI_ALL
+            for key in (RunKey(app + ".cpp", "PCM-Only"),
+                        RunKey(app, "PCM-Only"), RunKey(app, "KG-N"),
+                        RunKey(app, "KG-W"))]
+
+
+def render(results: Results) -> ExperimentOutput:
     normalized: Dict[str, Dict[str, float]] = {name: {} for name in SERIES}
     raw: Dict[str, Dict[str, int]] = {name: {} for name in SERIES}
     for app in GRAPHCHI_ALL:
-        cpp = runner.run(app + ".cpp", "PCM-Only").pcm_write_lines
-        java = runner.run(app, "PCM-Only").pcm_write_lines
-        kgn = runner.run(app, "KG-N").pcm_write_lines
-        kgw = runner.run(app, "KG-W").pcm_write_lines
+        cpp = results[RunKey(app + ".cpp", "PCM-Only")].pcm_write_lines
+        java = results[RunKey(app, "PCM-Only")].pcm_write_lines
+        kgn = results[RunKey(app, "KG-N")].pcm_write_lines
+        kgw = results[RunKey(app, "KG-W")].pcm_write_lines
         label = app.upper()
         for name, value in (("C++", cpp), ("Java", java),
                             ("KG-N", kgn), ("KG-W", kgw)):
@@ -41,7 +48,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
                "(PCM-Only system; KG-N/KG-W are Java on hybrid memory)"))
     return ExperimentOutput("figure3", "C++ vs Java PCM writes", text,
                             {"normalized": normalized, "raw": raw})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

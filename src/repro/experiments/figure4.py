@@ -14,9 +14,9 @@ from repro.experiments.common import (
     DACAPO_MULTIPROG,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.tables import render_series
 
 INSTANCE_COUNTS = (1, 2, 4)
@@ -25,9 +25,18 @@ SUITES: Dict[str, List[str]] = {
     "Pjbb": ["pjbb"],
     "GraphChi": GRAPHCHI_ALL,
 }
+COLLECTORS = ["PCM-Only", "KG-W"]
 
 
-def _suite_growth(runner: ExperimentRunner, collector: str
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector, instances=count)
+            for collector in COLLECTORS
+            for benchmarks in SUITES.values()
+            for benchmark in benchmarks
+            for count in INSTANCE_COUNTS]
+
+
+def _suite_growth(results: Results, collector: str
                   ) -> Dict[str, Dict[str, float]]:
     """Average PCM writes per suite, normalised to one instance.
 
@@ -41,8 +50,8 @@ def _suite_growth(runner: ExperimentRunner, collector: str
         totals: Dict[int, int] = {n: 0 for n in INSTANCE_COUNTS}
         for benchmark in benchmarks:
             for count in INSTANCE_COUNTS:
-                writes = runner.run(benchmark, collector,
-                                    instances=count).pcm_write_lines
+                writes = results[RunKey(benchmark, collector,
+                                        instances=count)].pcm_write_lines
                 totals[count] += writes
                 all_totals[count] += writes
         growth[suite] = {str(n): totals[n] / max(1, totals[1])
@@ -52,9 +61,9 @@ def _suite_growth(runner: ExperimentRunner, collector: str
     return growth
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
-    pcm_only = _suite_growth(runner, "PCM-Only")
-    kgw = _suite_growth(runner, "KG-W")
+def render(results: Results) -> ExperimentOutput:
+    pcm_only = _suite_growth(results, "PCM-Only")
+    kgw = _suite_growth(results, "KG-W")
     text = render_series(
         pcm_only,
         title=("Figure 4(a): PCM writes relative to one instance "
@@ -64,7 +73,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
         title="Figure 4(b): PCM writes relative to one instance (KG-W)")
     return ExperimentOutput("figure4", "Multiprogrammed PCM writes", text,
                             {"PCM-Only": pcm_only, "KG-W": kgw})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

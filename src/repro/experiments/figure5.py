@@ -9,38 +9,43 @@ are a milder 1.7x and 4.7x.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.experiments.common import (
     DACAPO_MULTIPROG,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.metrics import average
 from repro.harness.tables import render_series
 
 INSTANCE_COUNTS = (1, 2, 4)
+BENCHMARKS: List[str] = DACAPO_MULTIPROG + ["pjbb"] + GRAPHCHI_ALL
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, "PCM-Only", instances=count)
+            for count in INSTANCE_COUNTS for benchmark in BENCHMARKS]
+
+
+def render(results: Results) -> ExperimentOutput:
+    def pcm_only(benchmark: str, count: int):
+        return results[RunKey(benchmark, "PCM-Only", instances=count)]
+
     writes: Dict[str, Dict[str, float]] = {"Pjbb": {}, "GraphChi": {}}
     rates: Dict[str, Dict[str, float]] = {"Pjbb": {}, "GraphChi": {}}
     for count in INSTANCE_COUNTS:
-        dacapo_writes = average([
-            runner.run(b, "PCM-Only", instances=count).pcm_write_lines
-            for b in DACAPO_MULTIPROG])
-        dacapo_rate = average([
-            runner.run(b, "PCM-Only", instances=count).pcm_write_rate_mbs
-            for b in DACAPO_MULTIPROG])
-        pjbb = runner.run("pjbb", "PCM-Only", instances=count)
-        graphchi_writes = average([
-            runner.run(b, "PCM-Only", instances=count).pcm_write_lines
-            for b in GRAPHCHI_ALL])
-        graphchi_rate = average([
-            runner.run(b, "PCM-Only", instances=count).pcm_write_rate_mbs
-            for b in GRAPHCHI_ALL])
+        dacapo_writes = average([pcm_only(b, count).pcm_write_lines
+                                 for b in DACAPO_MULTIPROG])
+        dacapo_rate = average([pcm_only(b, count).pcm_write_rate_mbs
+                               for b in DACAPO_MULTIPROG])
+        pjbb = pcm_only("pjbb", count)
+        graphchi_writes = average([pcm_only(b, count).pcm_write_lines
+                                   for b in GRAPHCHI_ALL])
+        graphchi_rate = average([pcm_only(b, count).pcm_write_rate_mbs
+                                 for b in GRAPHCHI_ALL])
         label = str(count)
         writes["Pjbb"][label] = pjbb.pcm_write_lines / dacapo_writes
         writes["GraphChi"][label] = graphchi_writes / dacapo_writes
@@ -56,7 +61,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
                "(PCM-Only, by instance count)"))
     return ExperimentOutput("figure5", "Suites relative to DaCapo", text,
                             {"writes": writes, "rates": rates})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

@@ -10,26 +10,32 @@ and Kingsguard — especially KG-W — pulls most workloads back under.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.config import RECOMMENDED_WRITE_RATE_MBS
 from repro.experiments.common import (
     FIGURE6_BENCHMARKS,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.tables import render_series
 
 COLLECTORS = ["PCM-Only", "KG-N", "KG-B", "KG-W"]
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector)
+            for benchmark in FIGURE6_BENCHMARKS
+            for collector in COLLECTORS]
+
+
+def render(results: Results) -> ExperimentOutput:
     rates: Dict[str, Dict[str, float]] = {c: {} for c in COLLECTORS}
     for benchmark in FIGURE6_BENCHMARKS:
         for collector in COLLECTORS:
-            rates[collector][benchmark] = runner.run(
-                benchmark, collector).pcm_write_rate_mbs
+            rates[collector][benchmark] = results[RunKey(
+                benchmark, collector)].pcm_write_rate_mbs
     text = render_series(
         rates, value_format="{:.0f}",
         title=("Figure 6: PCM write rate in MB/s "
@@ -40,7 +46,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
              + (", ".join(over) if over else "none"))
     return ExperimentOutput("figure6", "PCM write rates", text,
                             {"rates": rates, "over_limit": over})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

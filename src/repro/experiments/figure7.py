@@ -9,25 +9,30 @@ removing LOO from KG-W costs 1.5-2.3x; removing MDO costs only ~1.14x.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.experiments.common import (
     FIGURE7_COLLECTORS,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.tables import render_series
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(app, collector) for app in GRAPHCHI_ALL
+            for collector in ["PCM-Only"] + FIGURE7_COLLECTORS]
+
+
+def render(results: Results) -> ExperimentOutput:
     normalized: Dict[str, Dict[str, float]] = {
         c: {} for c in FIGURE7_COLLECTORS}
     for app in GRAPHCHI_ALL:
-        baseline = runner.run(app, "PCM-Only").pcm_write_lines
+        baseline = results[RunKey(app, "PCM-Only")].pcm_write_lines
         for collector in FIGURE7_COLLECTORS:
-            writes = runner.run(app, collector).pcm_write_lines
+            writes = results[RunKey(app, collector)].pcm_write_lines
             normalized[collector][app.upper()] = writes / baseline
     text = render_series(
         normalized,
@@ -35,7 +40,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
                "(GraphChi applications)"))
     return ExperimentOutput("figure7", "Kingsguard variants on GraphChi",
                             text, {"normalized": normalized})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 from repro.harness.tables import render_series
 
 COLLECTORS = ["PCM-Only", "KG-N", "KG-W"]
@@ -24,14 +24,21 @@ BENCHMARKS: List[str] = [
 ]
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector, dataset=dataset)
+            for benchmark in BENCHMARKS
+            for collector in COLLECTORS
+            for dataset in ("default", "large")]
+
+
+def render(results: Results) -> ExperimentOutput:
     relative: Dict[str, Dict[str, float]] = {c: {} for c in COLLECTORS}
     for benchmark in BENCHMARKS:
         for collector in COLLECTORS:
-            default = runner.run(benchmark, collector,
-                                 dataset="default").pcm_write_rate_mbs
-            large = runner.run(benchmark, collector,
-                               dataset="large").pcm_write_rate_mbs
+            default = results[RunKey(benchmark, collector,
+                                     dataset="default")].pcm_write_rate_mbs
+            large = results[RunKey(benchmark, collector,
+                                   dataset="large")].pcm_write_rate_mbs
             relative[collector][benchmark] = (large / default
                                               if default else 0.0)
     text = render_series(
@@ -40,7 +47,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
                "normalized to the default dataset"))
     return ExperimentOutput("figure8", "Large-dataset write rates", text,
                             {"relative": relative})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

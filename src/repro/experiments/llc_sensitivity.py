@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.config import DEFAULT_SCALE_CONFIG
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 from repro.harness.metrics import average, percent_reduction
 from repro.harness.tables import render_series
 
@@ -29,18 +29,26 @@ LLC_POINTS = {
     "20MB-equiv": DEFAULT_SCALE_CONFIG.llc_size,
     "40MB-equiv": DEFAULT_SCALE_CONFIG.llc_size * 2,
 }
+COLLECTORS = ["KG-N", "KG-W"]
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
-    series: Dict[str, Dict[str, float]] = {"KG-N": {}, "KG-W": {}}
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector, llc_size=llc_size)
+            for llc_size in LLC_POINTS.values()
+            for benchmark in BENCHMARKS
+            for collector in ["PCM-Only"] + COLLECTORS]
+
+
+def render(results: Results) -> ExperimentOutput:
+    series: Dict[str, Dict[str, float]] = {c: {} for c in COLLECTORS}
     for label, llc_size in LLC_POINTS.items():
-        for collector in ("KG-N", "KG-W"):
+        for collector in COLLECTORS:
             reductions: List[float] = []
             for benchmark in BENCHMARKS:
-                baseline = runner.run(benchmark, "PCM-Only",
-                                      llc_size=llc_size).pcm_write_lines
-                writes = runner.run(benchmark, collector,
-                                    llc_size=llc_size).pcm_write_lines
+                baseline = results[RunKey(benchmark, "PCM-Only",
+                                          llc_size=llc_size)].pcm_write_lines
+                writes = results[RunKey(benchmark, collector,
+                                        llc_size=llc_size)].pcm_write_lines
                 reductions.append(percent_reduction(max(1, baseline),
                                                     writes))
             series[collector][label] = average(reductions)
@@ -55,7 +63,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
     return ExperimentOutput("llc_sensitivity", "LLC sensitivity", text,
                             {"series": series,
                              "llc_points": dict(LLC_POINTS)})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

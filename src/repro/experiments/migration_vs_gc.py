@@ -21,15 +21,15 @@ avoids entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.lifetime import pcm_lifetime_years, worst_case_lifetime
 from repro.experiments.common import (
     FIGURE7_COLLECTORS,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.tables import format_table
 
 BENCHMARKS = ["lusearch", "xalan"]
@@ -42,14 +42,31 @@ OS_POLICIES = ["first-touch", "interleave", "migrate"]
 GC_COLLECTORS = FIGURE7_COLLECTORS
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def _rows() -> List[Tuple[str, RunKey]]:
+    """Each table row's policy label and run key, in table order."""
+    rows = []
+    for benchmark in BENCHMARKS:
+        rows.append(("OS static (all-PCM)", RunKey(benchmark, "PCM-Only")))
+        for placement in OS_POLICIES:
+            rows.append((f"OS {placement}",
+                         RunKey(benchmark, "PCM-Only",
+                                placement=placement)))
+        for collector in GC_COLLECTORS:
+            rows.append((f"GC {collector}", RunKey(benchmark, collector)))
+    return rows
+
+
+def keys() -> List[RunKey]:
+    return [key for _, key in _rows()]
+
+
+def render(results: Results) -> ExperimentOutput:
     rows: List[List[str]] = []
     data: Dict[str, Dict[str, float]] = {}
     rates: Dict[str, List[float]] = {}
-
-    def record(benchmark: str, label: str, collector: str,
-               placement: str) -> None:
-        result = runner.run(benchmark, collector, placement=placement)
+    for label, key in _rows():
+        benchmark = key.benchmark
+        result = results[key]
         rate = result.pcm_write_rate_mbs
         lifetime = pcm_lifetime_years(rate)
         total_writes = result.total_write_lines
@@ -75,13 +92,6 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
         }
         rates.setdefault(label, []).append(rate)
 
-    for benchmark in BENCHMARKS:
-        record(benchmark, "OS static (all-PCM)", "PCM-Only", "static")
-        for placement in OS_POLICIES:
-            record(benchmark, f"OS {placement}", "PCM-Only", placement)
-        for collector in GC_COLLECTORS:
-            record(benchmark, f"GC {collector}", collector, "static")
-
     worst = {label: worst_case_lifetime(series)
              for label, series in rates.items()}
     data["worst_case_lifetime_years"] = worst
@@ -98,7 +108,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
     text += "\nWorst case across benchmarks (50% wear levelling):\n" + footer
     return ExperimentOutput("migration_vs_gc",
                             "OS migration vs GC placement", text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

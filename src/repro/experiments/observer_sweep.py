@@ -15,12 +15,13 @@ data: sweep the observer factor and measure, per size,
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict
+from typing import Dict, List
 
+from repro.config import DEFAULT_SCALE_CONFIG
 from repro.core.collectors.kingsguard import KingsguardCollector
 from repro.core.collectors.policy import collector_config
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 from repro.harness.tables import format_table
 from repro.kernel.vm import Kernel
 from repro.machine.topology import PCM_NODE, emulation_platform_spec
@@ -41,7 +42,7 @@ def _measure(observer_factor: int) -> Dict[str, float]:
     observer = observer_factor * nursery
     vm = JavaVM(kernel, KingsguardCollector(config),
                 heap_budget=max(app.heap_budget - nursery - observer,
-                                4 * vm_chunk(app)),
+                                4 * DEFAULT_SCALE_CONFIG.chunk_size),
                 nursery_size=nursery, app_threads=app.app_threads)
     ctx = vm.mutator()
     app.setup(ctx)
@@ -61,13 +62,12 @@ def _measure(observer_factor: int) -> Dict[str, float]:
     }
 
 
-def vm_chunk(app) -> int:
-    from repro.config import DEFAULT_SCALE_CONFIG
-    return DEFAULT_SCALE_CONFIG.chunk_size
+def keys() -> List[RunKey]:
+    return []  # a run key has no observer factor: render builds its VMs
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
-    del runner  # sweep builds its own VMs
+def render(results: Results) -> ExperimentOutput:
+    del results  # the sweep builds its own VMs
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for factor in OBSERVER_FACTORS:
@@ -90,7 +90,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
              "grown to the 4x level.")
     return ExperimentOutput("observer_sweep", "Observer-size trade-off",
                             text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

@@ -14,30 +14,36 @@ checks that the qualitative conclusions are scale-invariant:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from repro.config import ScaleConfig
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 from repro.harness.metrics import percent_reduction
 from repro.harness.tables import format_table
 
 SCALES = (64, 128)
 
+#: (benchmark, collector, instances) of each headline comparison's
+#: runs: base, KG-N, KG-W, Java, C++, and four-instance PCM-Only.
+HEADLINE = [("lusearch", "PCM-Only", 1), ("lusearch", "KG-N", 1),
+            ("lusearch", "KG-W", 1), ("pr", "PCM-Only", 1),
+            ("pr.cpp", "PCM-Only", 1), ("lusearch", "PCM-Only", 4)]
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector, instances, scale=scale)
+            for scale in SCALES
+            for benchmark, collector, instances in HEADLINE]
+
+
+def render(results: Results) -> ExperimentOutput:
     data: Dict[str, Dict[str, float]] = {}
     rows = []
     for scale_factor in SCALES:
-        scale = ScaleConfig(scale=scale_factor)
-        base = runner.run("lusearch", "PCM-Only",
-                          scale=scale).pcm_write_lines
-        kgn = runner.run("lusearch", "KG-N", scale=scale).pcm_write_lines
-        kgw = runner.run("lusearch", "KG-W", scale=scale).pcm_write_lines
-        java = runner.run("pr", "PCM-Only", scale=scale).pcm_write_lines
-        cpp = runner.run("pr.cpp", "PCM-Only", scale=scale).pcm_write_lines
-        multi = runner.run("lusearch", "PCM-Only", instances=4,
-                           scale=scale).pcm_write_lines
+        base, kgn, kgw, java, cpp, multi = (
+            results[RunKey(benchmark, collector, instances,
+                           scale=scale_factor)].pcm_write_lines
+            for benchmark, collector, instances in HEADLINE)
         entry = {
             "kgn_reduction": percent_reduction(base, kgn),
             "kgw_reduction": percent_reduction(base, kgw),
@@ -62,7 +68,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
              "carry the paper's results.")
     return ExperimentOutput("scale_robustness", "Scale-factor ablation",
                             text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

@@ -6,15 +6,21 @@ heap spaces each collector binds to Socket 0 (DRAM) and Socket 1 (PCM).
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.core.collectors.policy import collector_config, space_socket_table
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 
 COLLECTORS = ["KG-N", "KG-W", "KG-W-MDO"]
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
-    del runner  # uniform signature; no measurements needed
+def keys() -> List[RunKey]:
+    return []  # a configuration table: nothing to measure
+
+
+def render(results: Results) -> ExperimentOutput:
+    del results
     text = ("Table I: Kingsguard spaces and their socket mapping "
             "(S0 = DRAM, S1 = PCM)\n")
     text += space_socket_table(COLLECTORS)
@@ -29,7 +35,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
             "mdo": config.mdo,
         }
     return ExperimentOutput("table1", "Space-to-socket mapping", text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

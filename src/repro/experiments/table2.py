@@ -10,26 +10,34 @@ over KG-N (paper: 7 % simulated, 10 % emulated).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.core.platform import EmulationMode
 from repro.experiments.common import (
     DACAPO_SIMULATABLE,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.metrics import average, percent_reduction
 from repro.harness.tables import format_table
 
 COLLECTORS = ["KG-N", "KG-B", "KG-W"]
+MODES = (EmulationMode.SIMULATION, EmulationMode.EMULATION)
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector, mode=mode)
+            for mode in MODES
+            for benchmark in DACAPO_SIMULATABLE
+            for collector in ["PCM-Only"] + COLLECTORS]
+
+
+def render(results: Results) -> ExperimentOutput:
     reductions: Dict[str, Dict[str, float]] = {}
     blowup: Dict[str, float] = {}
     overhead: Dict[str, float] = {}
-    for mode in (EmulationMode.SIMULATION, EmulationMode.EMULATION):
+    for mode in MODES:
         per_collector: Dict[str, float] = {}
         totals: Dict[str, float] = {"KG-N": 0.0, "KG-B": 0.0}
         kgn_time = 0.0
@@ -37,8 +45,8 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
         for collector in COLLECTORS:
             values = []
             for benchmark in DACAPO_SIMULATABLE:
-                baseline = runner.run(benchmark, "PCM-Only", mode=mode)
-                result = runner.run(benchmark, collector, mode=mode)
+                baseline = results[RunKey(benchmark, "PCM-Only", mode=mode)]
+                result = results[RunKey(benchmark, collector, mode=mode)]
                 values.append(percent_reduction(baseline.pcm_write_lines,
                                                 result.pcm_write_lines))
                 if collector in totals:
@@ -74,7 +82,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
     data = {"reductions": reductions, "kgb_total_blowup": blowup,
             "kgw_overhead_percent": overhead}
     return ExperimentOutput("table2", "Emulation vs simulation", text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

@@ -15,9 +15,9 @@ from repro.experiments.common import (
     DACAPO_MULTIPROG,
     GRAPHCHI_ALL,
     ExperimentOutput,
-    main,
+    Results,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import RunKey
 from repro.harness.tables import format_table
 
 #: Benchmarks included in the worst-case sweep (the multiprogrammed
@@ -28,13 +28,21 @@ COLLECTORS = ["PCM-Only", "KG-W"]
 INSTANCE_COUNTS = (1, 4)
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(benchmark, collector, instances=count)
+            for collector in COLLECTORS
+            for count in INSTANCE_COUNTS
+            for benchmark in BENCHMARKS]
+
+
+def render(results: Results) -> ExperimentOutput:
     worst_rate: Dict[str, Dict[int, float]] = {}
     for collector in COLLECTORS:
         worst_rate[collector] = {}
         for count in INSTANCE_COUNTS:
             worst_rate[collector][count] = max(
-                runner.run(b, collector, instances=count).pcm_write_rate_mbs
+                results[RunKey(b, collector,
+                               instances=count)].pcm_write_rate_mbs
                 for b in BENCHMARKS)
 
     rows = []
@@ -60,7 +68,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
     return ExperimentOutput("table3", "PCM lifetimes", text,
                             {"worst_rate_mbs": worst_rate,
                              "lifetimes": lifetimes})
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

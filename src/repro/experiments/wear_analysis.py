@@ -13,12 +13,12 @@ could not see per-line wear through the CPU's aggregate counters).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.core.lifetime import pcm_lifetime_years
 from repro.core.platform import EmulationMode, HybridMemoryPlatform
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 from repro.harness.tables import format_table
 from repro.workloads.registry import benchmark_factory
 
@@ -26,8 +26,12 @@ BENCHMARKS = ["lusearch", "pjbb", "pr"]
 COLLECTORS = ["PCM-Only", "KG-W"]
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
-    del runner  # wear runs use a dedicated tracking platform
+def keys() -> List[RunKey]:
+    return []  # a run key has no wear tracking: render measures its own
+
+
+def render(results: Results) -> ExperimentOutput:
+    del results  # wear runs use a dedicated tracking platform
     platform = HybridMemoryPlatform(mode=EmulationMode.EMULATION,
                                     track_wear=True)
     rows = []
@@ -62,7 +66,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
                "vs the paper's assumed 50% (10M writes/cell)"))
     return ExperimentOutput("wear_analysis", "Wear-levelling analysis",
                             text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

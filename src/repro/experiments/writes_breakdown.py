@@ -10,20 +10,25 @@ space for 1/2/4 instances of a benchmark under PCM-Only.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
-from repro.experiments.common import ExperimentOutput, main
-from repro.harness.experiment import ExperimentRunner
+from repro.experiments.common import ExperimentOutput, Results
+from repro.harness.experiment import RunKey
 from repro.harness.tables import format_table
 
 BENCHMARK = "lusearch"
 INSTANCE_COUNTS = (1, 2, 4)
 
 
-def run(runner: ExperimentRunner) -> ExperimentOutput:
+def keys() -> List[RunKey]:
+    return [RunKey(BENCHMARK, "PCM-Only", instances=count)
+            for count in INSTANCE_COUNTS]
+
+
+def render(results: Results) -> ExperimentOutput:
     breakdowns: Dict[int, Dict[str, int]] = {}
     for count in INSTANCE_COUNTS:
-        result = runner.run(BENCHMARK, "PCM-Only", instances=count)
+        result = results[RunKey(BENCHMARK, "PCM-Only", instances=count)]
         breakdowns[count] = dict(result.per_tag_pcm_writes)
     spaces = sorted({space for b in breakdowns.values() for space in b})
     rows = []
@@ -45,7 +50,3 @@ def run(runner: ExperimentRunner) -> ExperimentOutput:
              "explanation for Figure 4's super-linearity.")
     return ExperimentOutput("writes_breakdown", "Per-space write growth",
                             text, data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(run)

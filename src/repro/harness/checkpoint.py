@@ -217,21 +217,6 @@ class SweepCheckpoint:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key_to_dict(key) -> Dict:
-        return {"benchmark": key.benchmark, "collector": key.collector,
-                "instances": key.instances, "dataset": key.dataset,
-                "mode": key.mode.value, "llc_size": key.llc_size,
-                "scale": key.scale, "placement": key.placement}
-
-    @staticmethod
-    def _key_from_dict(data: Dict):
-        from repro.harness.experiment import RunKey
-        return RunKey(data["benchmark"], data["collector"],
-                      data["instances"], data["dataset"],
-                      EmulationMode(data["mode"]), data["llc_size"],
-                      data["scale"], data.get("placement", "static"))
-
     def truncate(self) -> None:
         """Start the checkpoint over (a sweep not asked to resume)."""
         with open(self.path, "w", encoding="utf-8"):
@@ -247,7 +232,7 @@ class SweepCheckpoint:
         """
         record = {
             "schema": CHECKPOINT_SCHEMA,
-            "key": self._key_to_dict(key),
+            "key": key.to_dict(),
             "result": result_to_dict(result),
             "metrics": metrics or {},
         }
@@ -272,6 +257,8 @@ class SweepCheckpoint:
         later records for the same key win, matching append order.
         Header records of older files are skipped without counting.
         """
+        from repro.harness.experiment import RunKey
+
         restored: Dict = {}
         self.torn_tail = False
         self.skipped = 0
@@ -285,7 +272,7 @@ class SweepCheckpoint:
                 if (record.get("schema") != CHECKPOINT_SCHEMA
                         or "header" in record):
                     continue
-                key = self._key_from_dict(record["key"])
+                key = RunKey.from_dict(record["key"])
                 result = result_from_dict(record["result"])
             except (ValueError, KeyError, TypeError):
                 self.skipped += 1

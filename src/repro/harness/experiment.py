@@ -40,7 +40,7 @@ input order.  The sweep is crash-tolerant:
 from __future__ import annotations
 
 import signal
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_SCALE_CONFIG, ScaleConfig
@@ -57,17 +57,28 @@ from repro.observability.trace import TRACER
 
 @dataclass(frozen=True)
 class RunKey:
-    """Identity of one measured configuration."""
+    """Identity of one measured configuration (with the defaults of
+    :meth:`ExperimentRunner.run`, so a key reads like its call)."""
 
     benchmark: str
     collector: str
-    instances: int
-    dataset: str
-    mode: EmulationMode
+    instances: int = 1
+    dataset: str = "default"
+    mode: EmulationMode = EmulationMode.EMULATION
     llc_size: int = 0
     scale: int = DEFAULT_SCALE_CONFIG.scale
     #: Kernel placement policy (see :mod:`repro.kernel.placement`).
     placement: str = "static"
+
+    def to_dict(self) -> Dict:
+        """JSON form: a sweep checkpoint's and a sweep report's ``key``."""
+        return {**asdict(self), "mode": self.mode.value}
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "RunKey":
+        """Inverse of :meth:`to_dict`; a record written before the
+        placement joined the key loads as ``static``."""
+        return cls(**{**data, "mode": EmulationMode(data["mode"])})
 
 
 #: Pool attempts a key may lose to worker crashes and timeouts before
@@ -250,15 +261,11 @@ class ExperimentRunner:
             scale: ScaleConfig = DEFAULT_SCALE_CONFIG,
             placement: str = "static") -> MeasurementResult:
         """Measure one configuration (cached); a failed run raises."""
-        return self._run_key(RunKey(benchmark, collector, instances,
+        report = self.sweep([RunKey(benchmark, collector, instances,
                                     dataset, mode, llc_size, scale.scale,
-                                    placement))
-
-    def _run_key(self, key: RunKey) -> MeasurementResult:
-        """``key``'s result through a one-key serial :meth:`sweep`."""
-        report = self.sweep([key], max_workers=1)
+                                    placement)], max_workers=1)
         report.raise_first_failure()
-        return report.outcomes[0].result
+        return report.results[0]
 
     # ------------------------------------------------------------------
     # Execution plumbing

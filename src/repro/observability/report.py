@@ -118,17 +118,8 @@ def run_report(result, gc_spans: Optional[List[Dict]] = None,
 
 def _outcome_dict(outcome) -> Dict:
     """Serialise one :class:`~repro.harness.experiment.RunOutcome`."""
-    key = outcome.key
     entry: Dict = {
-        "key": {
-            "benchmark": key.benchmark,
-            "collector": key.collector,
-            "instances": key.instances,
-            "dataset": key.dataset,
-            "mode": key.mode.value,
-            "llc_size": key.llc_size,
-            "scale": key.scale,
-        },
+        "key": outcome.key.to_dict(),
         "status": ("ok" if outcome.ok else "failed"),
         "attempts": outcome.attempts,
         "cached": outcome.cached,

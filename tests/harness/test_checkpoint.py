@@ -177,6 +177,25 @@ class TestHeaderStamp:
         assert list(restored) == [key]
         assert list(restored)[0].placement == "migrate"
 
+    def test_record_without_placement_loads_as_static(self, tmp_path):
+        # Records written before the placement joined the key.
+        path = str(tmp_path / "ckpt.jsonl")
+        SweepCheckpoint(path).append(_key(), _result())
+        with open(path, encoding="utf-8") as handle:
+            record = json.loads(handle.read())
+        del record["key"]["placement"]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        loader = SweepCheckpoint(path)
+        assert list(loader.load()) == [_key()]
+        assert loader.skipped == 0
+
+    def test_key_dict_round_trips(self):
+        key = RunKey("pr", "KG-W", 4, "large", EmulationMode.SIMULATION,
+                     llc_size=4096, scale=128, placement="migrate")
+        assert RunKey.from_dict(json.loads(json.dumps(key.to_dict()))) \
+            == key
+
 
 class TestTornTailSalvage:
     """Crash mid-fsync leaves a record cut short; resume must salvage."""

@@ -1,23 +1,24 @@
-"""Unit tests for experiment aggregation logic with a stubbed runner.
+"""Unit tests for experiment aggregation logic on hand-built results.
 
 The experiment modules aggregate MeasurementResults into the paper's
-tables; these tests verify that math against hand-built results,
-without running any simulation.
+tables; these tests verify that math by rendering from hand-built
+results, without running any simulation.
 """
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import pytest
 
 from repro.core.platform import EmulationMode, MeasurementResult
 from repro.experiments import figure3, figure4, figure7, table3
+from repro.harness.experiment import RunKey
 
 
-class FakeRunner:
-    """Dict-backed stand-in for ExperimentRunner."""
+class FakeResults:
+    """Hand-built results by run key, for an experiment's ``render``."""
 
     def __init__(self) -> None:
-        self.results: Dict[Tuple, MeasurementResult] = {}
+        self.results: Dict[RunKey, MeasurementResult] = {}
 
     def add(self, benchmark, collector, pcm_lines, instances=1,
             elapsed=1e-3, mode=EmulationMode.EMULATION, dataset="default"):
@@ -27,27 +28,22 @@ class FakeRunner:
             dram_write_lines=0, elapsed_seconds=elapsed,
             per_tag_pcm_writes={}, per_tag_dram_writes={},
             instance_stats=[])
-        self.results[(benchmark, collector, instances, dataset, mode)] = \
-            result
+        self.results[RunKey(benchmark, collector, instances, dataset,
+                            mode)] = result
         return result
-
-    def run(self, benchmark, collector="PCM-Only", instances=1,
-            dataset="default", mode=EmulationMode.EMULATION, llc_size=0):
-        return self.results[(benchmark, collector, instances, dataset,
-                             mode)]
 
 
 class TestFigure3Math:
     def test_normalization_to_cpp(self):
-        runner = FakeRunner()
+        fake = FakeResults()
         for app, cpp, java, kgn, kgw in (("pr", 100, 300, 50, 30),
                                          ("cc", 200, 400, 90, 50),
                                          ("als", 100, 150, 110, 20)):
-            runner.add(app + ".cpp", "PCM-Only", cpp)
-            runner.add(app, "PCM-Only", java)
-            runner.add(app, "KG-N", kgn)
-            runner.add(app, "KG-W", kgw)
-        output = figure3.run(runner)
+            fake.add(app + ".cpp", "PCM-Only", cpp)
+            fake.add(app, "PCM-Only", java)
+            fake.add(app, "KG-N", kgn)
+            fake.add(app, "KG-W", kgw)
+        output = figure3.render(fake.results)
         assert output.data["normalized"]["Java"]["PR"] == pytest.approx(3.0)
         assert output.data["normalized"]["KG-W"]["ALS"] == pytest.approx(0.2)
         assert output.data["raw"]["C++"]["CC"] == 200
@@ -55,15 +51,15 @@ class TestFigure3Math:
 
 class TestFigure4Math:
     def test_growth_normalizes_suite_totals(self):
-        runner = FakeRunner()
+        fake = FakeResults()
         from repro.experiments.figure4 import SUITES
         for suite, benchmarks in SUITES.items():
             for benchmark in benchmarks:
                 for count, factor in ((1, 1), (2, 2), (4, 8)):
                     for collector in ("PCM-Only", "KG-W"):
-                        runner.add(benchmark, collector, 100 * factor,
-                                   instances=count)
-        output = figure4.run(runner)
+                        fake.add(benchmark, collector, 100 * factor,
+                                 instances=count)
+        output = figure4.render(fake.results)
         for suite_values in output.data["PCM-Only"].values():
             assert suite_values["1"] == pytest.approx(1.0)
             assert suite_values["2"] == pytest.approx(2.0)
@@ -72,7 +68,7 @@ class TestFigure4Math:
     def test_base_effect_does_not_dominate(self):
         # One benchmark with a near-zero single-instance count must not
         # blow up the suite average (writes are summed, then normalised).
-        runner = FakeRunner()
+        fake = FakeResults()
         from repro.experiments.figure4 import SUITES
         for suite, benchmarks in SUITES.items():
             for index, benchmark in enumerate(benchmarks):
@@ -80,28 +76,28 @@ class TestFigure4Math:
                 for count in (1, 2, 4):
                     for collector in ("PCM-Only", "KG-W"):
                         base = 1 if small else 1000
-                        runner.add(benchmark, collector,
-                                   base * count * (100 if small else 1),
-                                   instances=count)
-        output = figure4.run(runner)
+                        fake.add(benchmark, collector,
+                                 base * count * (100 if small else 1),
+                                 instances=count)
+        output = figure4.render(fake.results)
         assert output.data["PCM-Only"]["DaCapo"]["4"] < 10
 
 
 class TestFigure7Math:
     def test_normalized_to_pcm_only(self):
-        runner = FakeRunner()
+        fake = FakeResults()
         from repro.experiments.common import FIGURE7_COLLECTORS
         for app in ("pr", "cc", "als"):
-            runner.add(app, "PCM-Only", 1000)
+            fake.add(app, "PCM-Only", 1000)
             for collector in FIGURE7_COLLECTORS:
-                runner.add(app, collector, 250)
-        output = figure7.run(runner)
+                fake.add(app, collector, 250)
+        output = figure7.render(fake.results)
         assert output.data["normalized"]["KG-W"]["PR"] == pytest.approx(0.25)
 
 
 class TestTable3Math:
     def test_worst_case_rate_drives_lifetime(self):
-        runner = FakeRunner()
+        fake = FakeResults()
         from repro.experiments.table3 import BENCHMARKS
         for benchmark in BENCHMARKS:
             for collector in ("PCM-Only", "KG-W"):
@@ -109,9 +105,9 @@ class TestTable3Math:
                     # One benchmark is the clear worst case.
                     lines = 4000 if benchmark == "pr" else 100
                     scale = count * (1 if collector == "KG-W" else 4)
-                    runner.add(benchmark, collector, lines * scale,
-                               instances=count, elapsed=1e-3)
-        output = table3.run(runner)
+                    fake.add(benchmark, collector, lines * scale,
+                             instances=count, elapsed=1e-3)
+        output = table3.render(fake.results)
         worst = output.data["worst_rate_mbs"]
         assert worst["PCM-Only"][1] > worst["KG-W"][1]
         assert worst["PCM-Only"][4] > worst["PCM-Only"][1]
@@ -119,16 +115,16 @@ class TestTable3Math:
 
 class TestTable2Math:
     def test_reduction_and_blowup(self):
-        runner = FakeRunner()
+        fake = FakeResults()
         from repro.experiments import table2
         from repro.experiments.common import DACAPO_SIMULATABLE
         for mode in (EmulationMode.SIMULATION, EmulationMode.EMULATION):
             for benchmark in DACAPO_SIMULATABLE:
-                runner.add(benchmark, "PCM-Only", 1000, mode=mode)
-                runner.add(benchmark, "KG-N", 900, mode=mode, elapsed=1.0)
-                runner.add(benchmark, "KG-B", 850, mode=mode, elapsed=1.1)
-                runner.add(benchmark, "KG-W", 400, mode=mode, elapsed=1.08)
-        output = table2.run(runner)
+                fake.add(benchmark, "PCM-Only", 1000, mode=mode)
+                fake.add(benchmark, "KG-N", 900, mode=mode, elapsed=1.0)
+                fake.add(benchmark, "KG-B", 850, mode=mode, elapsed=1.1)
+                fake.add(benchmark, "KG-W", 400, mode=mode, elapsed=1.08)
+        output = table2.render(fake.results)
         reductions = output.data["reductions"]
         assert reductions["simulation"]["KG-N"] == pytest.approx(10.0)
         assert reductions["emulation"]["KG-W"] == pytest.approx(60.0)
@@ -141,14 +137,14 @@ class TestTable2Math:
 
 class TestFigure8Math:
     def test_relative_rates(self):
-        runner = FakeRunner()
+        fake = FakeResults()
         from repro.experiments import figure8
         for benchmark in figure8.BENCHMARKS:
             for collector in figure8.COLLECTORS:
-                runner.add(benchmark, collector, 1000, elapsed=1e-3)
-                runner.add(benchmark, collector, 5000, elapsed=1e-2,
-                           dataset="large")
-        output = figure8.run(runner)
+                fake.add(benchmark, collector, 1000, elapsed=1e-3)
+                fake.add(benchmark, collector, 5000, elapsed=1e-2,
+                         dataset="large")
+        output = figure8.render(fake.results)
         for collector in figure8.COLLECTORS:
             for value in output.data["relative"][collector].values():
                 assert value == pytest.approx(0.5)

@@ -17,7 +17,7 @@ PCM-Only configurations run every thread on the PCM socket, and
 ``migrate`` also moves pages at placement safepoints, covering the
 write-back and migration paths that KG-W on its own misses.  The
 two-instance fop case is Figure 4's interleaving: both instances share
-one LLC.
+one LLC.  The simulation-mode xalan case is Table II's simulator leg.
 
 After a deliberate model change, regenerate the file and say why in
 CHANGES.md::
@@ -40,20 +40,26 @@ from repro.workloads.registry import benchmark_factory
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
 
-#: case name -> (benchmark, collector, placement, instances, access
-#: paths to run it on: "batched" is the default path, "perline" the
-#: per-line oracle).
+#: case name -> (benchmark, collector, mode, placement, instances,
+#: access paths to run it on: "batched" is the default path, "perline"
+#: the per-line oracle).
+EMU = EmulationMode.EMULATION
 CASES = {
-    "xalan/KG-W": ("xalan", "KG-W", "static", 1, ("perline", "batched")),
-    "pr/KG-W": ("pr", "KG-W", "static", 1, ("batched",)),
-    "fop/KG-W": ("fop", "KG-W", "static", 1, ("perline", "batched")),
-    "fop/PCM-Only": ("fop", "PCM-Only", "static", 1,
+    "xalan/KG-W": ("xalan", "KG-W", EMU, "static", 1,
+                   ("perline", "batched")),
+    "pr/KG-W": ("pr", "KG-W", EMU, "static", 1, ("batched",)),
+    "fop/KG-W": ("fop", "KG-W", EMU, "static", 1, ("perline", "batched")),
+    "fop/PCM-Only": ("fop", "PCM-Only", EMU, "static", 1,
                      ("perline", "batched")),
-    "fop/PCM-Only/migrate": ("fop", "PCM-Only", "migrate", 1,
+    "fop/PCM-Only/migrate": ("fop", "PCM-Only", EMU, "migrate", 1,
                              ("perline", "batched")),
     # Figure 4's interleaving: two instances share the LLC and take
     # turns on the scheduler.
-    "fop/KG-W/x2": ("fop", "KG-W", "static", 2, ("perline", "batched")),
+    "fop/KG-W/x2": ("fop", "KG-W", EMU, "static", 2,
+                    ("perline", "batched")),
+    # Table II's simulator leg: the simulation-mode platform.
+    "xalan/KG-W/simulation": ("xalan", "KG-W", EmulationMode.SIMULATION,
+                              "static", 1, ("batched",)),
 }
 
 REGENERATE = ("PYTHONPATH=src python tests/integration/test_golden_runs.py"
@@ -62,9 +68,8 @@ REGENERATE = ("PYTHONPATH=src python tests/integration/test_golden_runs.py"
 
 def run_payload(case: str, path: str) -> dict:
     """The canonical result payload of ``case`` on access ``path``."""
-    benchmark, collector, placement, instances, _ = CASES[case]
-    platform = HybridMemoryPlatform(mode=EmulationMode.EMULATION,
-                                    placement=placement)
+    benchmark, collector, mode, placement, instances, _ = CASES[case]
+    platform = HybridMemoryPlatform(mode=mode, placement=placement)
     oracle = per_line_oracle() if path == "perline" else nullcontext()
     with oracle:
         result = platform.run(benchmark_factory(benchmark),
@@ -82,7 +87,7 @@ def load_golden() -> dict:
 
 
 @pytest.mark.parametrize("case,path", [
-    (case, path) for case, spec in CASES.items() for path in spec[4]])
+    (case, path) for case, spec in CASES.items() for path in spec[-1]])
 def test_whole_run_matches_golden(case, path):
     payload = run_payload(case, path)
     assert payload["pcm_write_lines"] > 0
@@ -105,7 +110,7 @@ def test_default_kgw_digests_match_the_e2e_benchmark_golden_file():
 def write_golden() -> None:
     """Recompute every case (under the oracle where the case has an
     oracle leg) and rewrite the file."""
-    golden = {case: digest(run_payload(case, CASES[case][4][0]))
+    golden = {case: digest(run_payload(case, CASES[case][-1][0]))
               for case in CASES}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True)
                            + "\n")

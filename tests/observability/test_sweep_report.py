@@ -1,6 +1,7 @@
 """The machine-readable sweep report (failures section, accounting)."""
 
 import json
+from dataclasses import replace
 
 from repro.core.platform import EmulationMode
 from repro.harness.experiment import (
@@ -50,3 +51,21 @@ def test_payload_is_json_serialisable():
     json.dumps(sweep_report(_report(), metrics={"m": {"kind": "counter",
                                                       "value": 1}}),
                sort_keys=True)
+
+
+def test_placements_give_distinct_keys_and_text_rows():
+    # `repro sweep --placement static,migrate`: one row per placement,
+    # and a reader can tell the two apart in JSON and in text.
+    static = _result(collector="PCM-Only")
+    migrate = replace(static, placement="migrate")
+    report = SweepReport(outcomes=[
+        RunOutcome(key=_key(), result=static),
+        RunOutcome(key=replace(_key(), placement="migrate"),
+                   result=migrate)])
+    keys = [json.dumps(entry["key"], sort_keys=True)
+            for entry in sweep_report(report)["outcomes"]]
+    assert len(set(keys)) == 2
+    assert [json.loads(key)["placement"] for key in keys] == [
+        "static", "migrate"]
+    assert "migrate" not in static.describe()
+    assert "[PCM-Only, emulation, migrate]" in migrate.describe()
