@@ -25,7 +25,8 @@ from typing import List, Optional
 
 from repro.config import DEFAULT_SCALE_CONFIG, RECOMMENDED_WRITE_RATE_MBS
 from repro.core.collectors import ALL_COLLECTOR_NAMES
-from repro.core.platform import EmulationMode, HybridMemoryPlatform
+from repro.core.platform import EmulationMode
+from repro.harness.experiment import RunKey, _execute
 from repro.kernel.placement import PLACEMENT_NAMES
 from repro.observability import (
     METRICS,
@@ -37,11 +38,21 @@ from repro.observability import (
     to_chrome_trace,
     to_folded,
 )
-from repro.workloads.registry import (
-    ALL_BENCHMARKS,
-    benchmark_factory,
-    benchmarks_in_suite,
-)
+from repro.workloads.registry import ALL_BENCHMARKS, benchmarks_in_suite
+
+
+def _instance_count(text: str) -> int:
+    """argparse type: an instance count, at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"instance count must be at least 1, got {count}")
+    return count
+
+
+def _instance_counts(text: str) -> List[int]:
+    """argparse type: a comma-separated list of instance counts."""
+    return [_instance_count(part) for part in text.split(",")]
 
 
 def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +60,8 @@ def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-b", "--benchmark", default="lusearch")
     parser.add_argument("-c", "--collector", default="PCM-Only",
                         choices=ALL_COLLECTOR_NAMES)
-    parser.add_argument("-n", "--instances", type=int, default=1)
+    parser.add_argument("-n", "--instances", type=_instance_count,
+                        default=1)
     parser.add_argument("--dataset", default="default",
                         choices=["default", "large"])
     parser.add_argument("--mode", default="emulation",
@@ -61,6 +73,8 @@ def _add_measurement_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Hybrid DRAM-PCM memory emulation for managed "
@@ -83,13 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     reproduce = sub.add_parser(
         "reproduce", help="regenerate a table/figure (or 'all')")
     reproduce.add_argument("experiment",
-                           help="table1, table2, figure3..figure8, "
-                                "table3, wear_analysis, or 'all'")
+                           help=f"{', '.join(EXPERIMENTS)}, or 'all'")
 
     trace = sub.add_parser(
         "trace", help="run one experiment with tracing on and export "
                       "the span/event buffer as JSON lines")
-    trace.add_argument("experiment", help="experiment name (see 'reproduce')")
+    trace.add_argument("experiment",
+                       help=f"one of {', '.join(EXPERIMENTS)}")
     trace.add_argument("--out", default="trace.jsonl",
                        help="output path (default: trace.jsonl)")
     trace.add_argument("--capacity", type=int, default=None,
@@ -127,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated benchmark names")
     sweep.add_argument("-c", "--collectors", default="PCM-Only",
                        help="comma-separated collector names")
-    sweep.add_argument("-n", "--instances", default="1",
-                       help="comma-separated instance counts")
+    sweep.add_argument("-n", "--instances", type=_instance_counts,
+                       default="1", help="comma-separated instance counts")
     sweep.add_argument("--dataset", default="default",
                        choices=["default", "large"])
     sweep.add_argument("--mode", default="emulation",
@@ -260,19 +274,11 @@ def _cmd_describe() -> int:
     return 0
 
 
-def _measure(args: argparse.Namespace, track_wear: bool = False):
-    """Run one configuration from parsed measurement options."""
-    mode = (EmulationMode.EMULATION if args.mode == "emulation"
-            else EmulationMode.SIMULATION)
-    platform = HybridMemoryPlatform(mode=mode, track_wear=track_wear,
-                                    placement=args.placement)
-    factory = benchmark_factory(args.benchmark)
-
-    def make_app(index: int):
-        return factory(index, dataset=args.dataset)
-
-    return platform.run(make_app, collector=args.collector,
-                        instances=args.instances)
+def _run_key(args: argparse.Namespace, track_wear: bool = False) -> RunKey:
+    """The run key of parsed measurement options."""
+    return RunKey(args.benchmark, args.collector, args.instances,
+                  args.dataset, EmulationMode(args.mode),
+                  placement=args.placement, track_wear=track_wear)
 
 
 def _warn_dropped(context: str) -> None:
@@ -290,7 +296,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         TRACER.clear()
         TRACER.enable()
         try:
-            result = _measure(args, track_wear=args.track_wear)
+            result = _execute(_run_key(args, args.track_wear), False)
             report = run_report(result, gc_spans=TRACER.spans("gc."),
                                 metrics=METRICS.as_dict(),
                                 trace_dropped=TRACER.dropped)
@@ -300,7 +306,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
 
-    result = _measure(args, track_wear=args.track_wear)
+    result = _execute(_run_key(args, args.track_wear), False)
     print(result.describe())
     for tag, lines in sorted(result.per_tag_pcm_writes.items()):
         print(f"  PCM writes from {tag:14s} {lines:8d} lines")
@@ -388,19 +394,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.harness.experiment import ExperimentRunner, RunKey
+    from repro.harness.experiment import ExperimentRunner
     from repro.observability.report import sweep_report
 
-    mode = (EmulationMode.EMULATION if args.mode == "emulation"
-            else EmulationMode.SIMULATION)
     benchmarks = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
     collectors = [c.strip() for c in args.collectors.split(",") if c.strip()]
-    try:
-        instance_counts = [int(n) for n in args.instances.split(",")]
-    except ValueError:
-        print(f"invalid --instances list: {args.instances!r}",
-              file=sys.stderr)
-        return 2
     if not _known_benchmarks(benchmarks):
         return 2
     unknown = [c for c in collectors if c not in ALL_COLLECTOR_NAMES]
@@ -416,11 +414,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"unknown placement(s) {', '.join(unknown)}; choose from "
               f"{', '.join(PLACEMENT_NAMES)}", file=sys.stderr)
         return 2
-    keys = [RunKey(benchmark, collector, count, args.dataset, mode,
-                   placement=placement)
+    keys = [RunKey(benchmark, collector, count, args.dataset,
+                   EmulationMode(args.mode), placement=placement)
             for benchmark in benchmarks
             for collector in collectors
-            for count in instance_counts
+            for count in args.instances
             for placement in placements]
     runner = ExperimentRunner()
     try:
@@ -530,9 +528,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     was_profiled = PROFILER.enabled
     TRACER.clear()
     TRACER.enable()
-    PROFILER.enable()
     try:
-        result = _measure(args)
+        result = _execute(_run_key(args), True)
     finally:
         TRACER.enabled = was_traced
         PROFILER.enabled = was_profiled
@@ -568,7 +565,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    result = _measure(args)
+    result = _execute(_run_key(args), False)
     print(result.describe())
     if TRACER.dropped:
         print(f"trace.dropped: {TRACER.dropped}")

@@ -13,6 +13,9 @@ The family:
   Optimization (MDO) by default.
 * **KG-W-LOO / KG-W-MDO** — KG-W with LOO (respectively MDO) removed,
   matching the paper's ablation naming.
+* **KG-W@1x / KG-W@4x** — KG-W with an observer of 1x (respectively
+  4x) the nursery instead of 2x, for the observer-size sweep; the
+  suffix is the observer size, not the ablation "minus" naming.
 """
 
 from repro.core.collectors.base import Collector

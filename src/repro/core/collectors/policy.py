@@ -73,12 +73,13 @@ def _pcm_only() -> CollectorConfig:
 
 
 def _kg(name: str, *, observer: bool = False, factor: int = 1,
-        loo: bool = False, mdo: bool = False) -> CollectorConfig:
+        loo: bool = False, mdo: bool = False,
+        observer_factor: int = 2) -> CollectorConfig:
     return CollectorConfig(
         name=name, kind="kingsguard", nursery_in_dram=True,
         has_observer=observer, dram_mature=observer, dram_los=observer,
         mdo=mdo, loo=loo, boot_in_dram=True, thread_socket=0,
-        nursery_factor=factor)
+        nursery_factor=factor, observer_factor=observer_factor)
 
 
 def _crystal_gazer() -> CollectorConfig:
@@ -101,6 +102,13 @@ _CONFIGS: Dict[str, CollectorConfig] = {
     # "KG-W-MDO" is KG-W *minus* MDO.
     "KG-W-LOO": _kg("KG-W-LOO", observer=True, loo=False, mdo=True),
     "KG-W-MDO": _kg("KG-W-MDO", observer=True, loo=True, mdo=False),
+    # Extension (the observer-size sweep): KG-W with a 1x or 4x
+    # observer.  The suffix is the observer size as a multiple of the
+    # nursery, not the ablation "minus" naming above.
+    "KG-W@1x": _kg("KG-W@1x", observer=True, loo=True, mdo=True,
+                   observer_factor=1),
+    "KG-W@4x": _kg("KG-W@4x", observer=True, loo=True, mdo=True,
+                   observer_factor=4),
     "KG-CG": _crystal_gazer(),
 }
 

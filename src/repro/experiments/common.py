@@ -56,16 +56,22 @@ def error_result(key: RunKey) -> MeasurementResult:
 
     NaN propagates through the experiments' arithmetic (ratios,
     averages, MB/s conversions), so a failed cell renders as ``ERR``
-    in :func:`repro.harness.tables.format_table` instead of poisoning
-    the whole table — the remaining cells stay meaningful.
+    (:func:`repro.harness.tables.format_cell`) instead of poisoning
+    the whole table — the remaining cells stay meaningful.  Every
+    counter a render reads is NaN: write lines, migrations, wear, and
+    each instance's runtime stats.
     """
     nan = float("nan")
     from repro.runtime.jvm import RuntimeStats
+    stats = {name: nan for name in RuntimeStats.__dataclass_fields__}
     return MeasurementResult(
         benchmark=key.benchmark, collector=key.collector, mode=key.mode,
         instances=key.instances, pcm_write_lines=nan,
         dram_write_lines=nan, elapsed_seconds=nan,
         per_tag_pcm_writes={}, per_tag_dram_writes={},
-        instance_stats=[RuntimeStats() for _ in range(key.instances)],
+        instance_stats=[RuntimeStats(**{**stats, "pauses": [nan]})
+                        for _ in range(key.instances)],
         monitor_rates_mbs=[], qpi_crossings=nan,
-        placement=key.placement)
+        wear_efficiency=nan, wear_imbalance=nan,
+        placement=key.placement, pages_migrated=nan,
+        migration_writes=nan, migration_cycles=nan)

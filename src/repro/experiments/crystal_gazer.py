@@ -16,7 +16,7 @@ from typing import Dict, List
 
 from repro.experiments.common import ExperimentOutput, Results
 from repro.harness.experiment import RunKey
-from repro.harness.tables import format_table
+from repro.harness.tables import format_cell, format_table
 
 BENCHMARKS = ["lusearch", "pmd", "pjbb", "pr", "cc", "als"]
 COLLECTORS = ["KG-N", "KG-CG", "KG-W"]
@@ -38,9 +38,9 @@ def render(results: Results) -> ExperimentOutput:
         for collector in COLLECTORS:
             result = results[RunKey(benchmark, collector)]
             normalized = result.pcm_write_lines / max(
-                1, baseline.pcm_write_lines)
+                baseline.pcm_write_lines, 1)
             overhead = 100.0 * (result.elapsed_seconds / kgn_time - 1.0)
-            row += [f"{normalized:.2f}", f"{overhead:+.0f}%"]
+            row += [normalized, format_cell(overhead, "{:+.0f}%")]
             entry[f"{collector}/writes"] = normalized
             entry[f"{collector}/overhead"] = overhead
         rows.append(row)

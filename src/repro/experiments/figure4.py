@@ -54,9 +54,9 @@ def _suite_growth(results: Results, collector: str
                                         instances=count)].pcm_write_lines
                 totals[count] += writes
                 all_totals[count] += writes
-        growth[suite] = {str(n): totals[n] / max(1, totals[1])
+        growth[suite] = {str(n): totals[n] / max(totals[1], 1)
                          for n in INSTANCE_COUNTS}
-    growth["All"] = {str(n): all_totals[n] / max(1, all_totals[1])
+    growth["All"] = {str(n): all_totals[n] / max(all_totals[1], 1)
                      for n in INSTANCE_COUNTS}
     return growth
 

@@ -49,7 +49,7 @@ def render(results: Results) -> ExperimentOutput:
                                           llc_size=llc_size)].pcm_write_lines
                 writes = results[RunKey(benchmark, collector,
                                         llc_size=llc_size)].pcm_write_lines
-                reductions.append(percent_reduction(max(1, baseline),
+                reductions.append(percent_reduction(max(baseline, 1),
                                                     writes))
             series[collector][label] = average(reductions)
     text = render_series(

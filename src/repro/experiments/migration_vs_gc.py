@@ -30,7 +30,7 @@ from repro.experiments.common import (
     Results,
 )
 from repro.harness.experiment import RunKey
-from repro.harness.tables import format_table
+from repro.harness.tables import format_cell, format_table
 
 BENCHMARKS = ["lusearch", "xalan"]
 
@@ -74,12 +74,12 @@ def render(results: Results) -> ExperimentOutput:
                     if total_writes else 0.0)
         rows.append([
             benchmark, label,
-            f"{result.pcm_write_lines:.0f}",
-            f"{rate:.1f}",
-            f"{lifetime:.1f}y",
-            f"{result.pages_migrated:.0f}",
-            f"{result.migration_writes:.0f}",
-            f"{overhead:.1f}%",
+            result.pcm_write_lines,
+            format_cell(rate, "{:.1f}"),
+            format_cell(lifetime, "{:.1f}y"),
+            result.pages_migrated,
+            result.migration_writes,
+            format_cell(overhead, "{:.1f}%"),
         ])
         data[f"{benchmark}/{label}"] = {
             "pcm_write_lines": result.pcm_write_lines,
@@ -96,7 +96,7 @@ def render(results: Results) -> ExperimentOutput:
              for label, series in rates.items()}
     data["worst_case_lifetime_years"] = worst
     footer = "\n".join(
-        f"  {label}: worst-case lifetime {years:.1f}y"
+        f"  {label}: worst-case lifetime {format_cell(years, '{:.1f}y')}"
         for label, years in worst.items())
     text = format_table(
         ["Benchmark", "Policy", "PCM writes", "PCM MB/s", "Lifetime",

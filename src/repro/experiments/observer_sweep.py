@@ -10,75 +10,47 @@ data: sweep the observer factor and measure, per size,
 * mean GC pause and mutator utilization (a larger observer makes each
   observer collection copy more);
 * bytes copied (the tenured-garbage churn).
+
+Each size is a named collector (``KG-W@1x``, ``KG-W``, ``KG-W@4x``),
+so the 2x row is the same run as Figure 4's single-instance pjbb/KG-W.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List
 
-from repro.config import DEFAULT_SCALE_CONFIG
-from repro.core.collectors.kingsguard import KingsguardCollector
-from repro.core.collectors.policy import collector_config
 from repro.experiments.common import ExperimentOutput, Results
 from repro.harness.experiment import RunKey
-from repro.harness.tables import format_table
-from repro.kernel.vm import Kernel
-from repro.machine.topology import PCM_NODE, emulation_platform_spec
-from repro.runtime.jvm import JavaVM
-from repro.workloads.registry import benchmark_factory
+from repro.harness.tables import format_cell, format_table
 
 BENCHMARK = "pjbb"
-OBSERVER_FACTORS = (1, 2, 4)
-
-
-def _measure(observer_factor: int) -> Dict[str, float]:
-    config = replace(collector_config("KG-W"),
-                     observer_factor=observer_factor)
-    machine = emulation_platform_spec().build()
-    kernel = Kernel(machine)
-    app = benchmark_factory(BENCHMARK)(0)
-    nursery = app.nursery_size
-    observer = observer_factor * nursery
-    vm = JavaVM(kernel, KingsguardCollector(config),
-                heap_budget=max(app.heap_budget - nursery - observer,
-                                4 * DEFAULT_SCALE_CONFIG.chunk_size),
-                nursery_size=nursery, app_threads=app.app_threads)
-    ctx = vm.mutator()
-    app.setup(ctx)
-    for _ in app.iteration(ctx):        # warm-up
-        pass
-    machine.reset_counters()
-    mark = vm.stats.copy()
-    for _ in app.iteration(ctx):        # measured
-        pass
-    vm.finish()
-    delta = vm.stats.snapshot_delta(mark)
-    return {
-        "pcm_writes": machine.node_writes(PCM_NODE),
-        "mean_pause": delta.mean_pause_cycles,
-        "bytes_copied": delta.bytes_copied,
-        "utilization": delta.mutator_utilization(),
-    }
+#: Observer size (a multiple of the nursery) -> the KG-W variant with it.
+OBSERVERS = {"1x": "KG-W@1x", "2x": "KG-W", "4x": "KG-W@4x"}
 
 
 def keys() -> List[RunKey]:
-    return []  # a run key has no observer factor: render builds its VMs
+    return [RunKey(BENCHMARK, collector) for collector in OBSERVERS.values()]
 
 
 def render(results: Results) -> ExperimentOutput:
-    del results  # the sweep builds its own VMs
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for factor in OBSERVER_FACTORS:
-        entry = _measure(factor)
-        data[f"{factor}x"] = entry
+    for size, collector in OBSERVERS.items():
+        result = results[RunKey(BENCHMARK, collector)]
+        stats = result.instance_stats[0]
+        entry = {
+            "pcm_writes": result.pcm_write_lines,
+            "mean_pause": stats.mean_pause_cycles,
+            "bytes_copied": stats.bytes_copied,
+            "utilization": stats.mutator_utilization(),
+        }
+        data[size] = entry
         rows.append([
-            f"{factor}x nursery",
+            f"{size} nursery",
             entry["pcm_writes"],
-            f"{entry['mean_pause']:.0f}",
+            format_cell(entry["mean_pause"], "{:.0f}"),
             entry["bytes_copied"],
-            f"{entry['utilization']:.3f}",
+            format_cell(entry["utilization"], "{:.3f}"),
         ])
     text = format_table(
         ["Observer size", "PCM writes", "Mean pause (cycles)",

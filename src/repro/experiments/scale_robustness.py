@@ -19,7 +19,7 @@ from typing import Dict, List
 from repro.experiments.common import ExperimentOutput, Results
 from repro.harness.experiment import RunKey
 from repro.harness.metrics import percent_reduction
-from repro.harness.tables import format_table
+from repro.harness.tables import format_cell, format_table
 
 SCALES = (64, 128)
 
@@ -47,16 +47,16 @@ def render(results: Results) -> ExperimentOutput:
         entry = {
             "kgn_reduction": percent_reduction(base, kgn),
             "kgw_reduction": percent_reduction(base, kgw),
-            "java_over_cpp": java / max(1, cpp),
-            "multiprog_growth": multi / max(1, base),
+            "java_over_cpp": java / max(cpp, 1),
+            "multiprog_growth": multi / max(base, 1),
         }
         data[f"1/{scale_factor}"] = entry
         rows.append([
             f"1/{scale_factor}",
-            f"{entry['kgn_reduction']:.0f}%",
-            f"{entry['kgw_reduction']:.0f}%",
-            f"{entry['java_over_cpp']:.2f}x",
-            f"{entry['multiprog_growth']:.1f}x",
+            format_cell(entry["kgn_reduction"], "{:.0f}%"),
+            format_cell(entry["kgw_reduction"], "{:.0f}%"),
+            format_cell(entry["java_over_cpp"], "{:.2f}x"),
+            format_cell(entry["multiprog_growth"], "{:.1f}x"),
         ])
     text = format_table(
         ["Scale", "KG-N red. (lusearch)", "KG-W red. (lusearch)",

@@ -20,7 +20,7 @@ from repro.experiments.common import (
 )
 from repro.harness.experiment import RunKey
 from repro.harness.metrics import average, percent_reduction
-from repro.harness.tables import format_table
+from repro.harness.tables import format_cell, format_table
 
 COLLECTORS = ["KG-N", "KG-B", "KG-W"]
 MODES = (EmulationMode.SIMULATION, EmulationMode.EMULATION)
@@ -64,8 +64,8 @@ def render(results: Results) -> ExperimentOutput:
     for collector in COLLECTORS:
         rows.append([
             collector,
-            f"{reductions['simulation'][collector]:.0f}%",
-            f"{reductions['emulation'][collector]:.0f}%",
+            format_cell(reductions["simulation"][collector], "{:.0f}%"),
+            format_cell(reductions["emulation"][collector], "{:.0f}%"),
         ])
     text = format_table(
         ["Collector", "Simulator", "Emulator"], rows,
@@ -73,12 +73,13 @@ def render(results: Results) -> ExperimentOutput:
                "(avg over 7 DaCapo benchmarks)"))
     text += (
         f"\n\nKG-B total memory writes vs KG-N: "
-        f"{blowup['simulation']:.2f}x simulated, "
-        f"{blowup['emulation']:.2f}x emulated "
+        f"{format_cell(blowup['simulation'], '{:.2f}x')} simulated, "
+        f"{format_cell(blowup['emulation'], '{:.2f}x')} emulated "
         f"(paper: 1.98x / 2.2x)\n"
         f"KG-W runtime overhead vs KG-N: "
-        f"{overhead['simulation']:.0f}% simulated, "
-        f"{overhead['emulation']:.0f}% emulated (paper: 7% / 10%)")
+        f"{format_cell(overhead['simulation'], '{:.0f}%')} simulated, "
+        f"{format_cell(overhead['emulation'], '{:.0f}%')} emulated "
+        f"(paper: 7% / 10%)")
     data = {"reductions": reductions, "kgb_total_blowup": blowup,
             "kgw_overhead_percent": overhead}
     return ExperimentOutput("table2", "Emulation vs simulation", text, data)

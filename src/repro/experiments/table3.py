@@ -18,7 +18,7 @@ from repro.experiments.common import (
     Results,
 )
 from repro.harness.experiment import RunKey
-from repro.harness.tables import format_table
+from repro.harness.tables import format_cell, format_table
 
 #: Benchmarks included in the worst-case sweep (the multiprogrammed
 #: subset, since the N=4 column needs four-instance runs).
@@ -55,7 +55,7 @@ def render(results: Results) -> ExperimentOutput:
                     worst_rate[collector][count], endurance)
                 key = f"{label}/{collector}/N={count}"
                 lifetimes[key] = {"years": years}
-                row.append(f"{years:.0f}")
+                row.append(format_cell(years, "{:.0f}"))
         rows.append(row)
     headers = ["Workload"]
     for label in PCM_ENDURANCE_LEVELS:

@@ -16,48 +16,43 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.lifetime import pcm_lifetime_years
-from repro.core.platform import EmulationMode, HybridMemoryPlatform
 from repro.experiments.common import ExperimentOutput, Results
 from repro.harness.experiment import RunKey
-from repro.harness.tables import format_table
-from repro.workloads.registry import benchmark_factory
+from repro.harness.tables import format_cell, format_table
 
 BENCHMARKS = ["lusearch", "pjbb", "pr"]
 COLLECTORS = ["PCM-Only", "KG-W"]
 
 
 def keys() -> List[RunKey]:
-    return []  # a run key has no wear tracking: render measures its own
+    return [RunKey(benchmark, collector, track_wear=True)
+            for benchmark in BENCHMARKS for collector in COLLECTORS]
 
 
 def render(results: Results) -> ExperimentOutput:
-    del results  # wear runs use a dedicated tracking platform
-    platform = HybridMemoryPlatform(mode=EmulationMode.EMULATION,
-                                    track_wear=True)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
-    for benchmark in BENCHMARKS:
-        for collector in COLLECTORS:
-            factory = benchmark_factory(benchmark)
-            result = platform.run(factory, collector=collector)
-            assumed = pcm_lifetime_years(result.pcm_write_rate_mbs, 10e6,
-                                         wear_leveling_efficiency=0.5)
-            efficiency = result.wear_efficiency or 1.0
-            measured = pcm_lifetime_years(
-                result.pcm_write_rate_mbs, 10e6,
-                wear_leveling_efficiency=max(0.01, efficiency))
-            rows.append([
-                benchmark, collector,
-                f"{result.wear_imbalance:.1f}x",
-                f"{efficiency:.2f}",
-                f"{assumed:.0f}y", f"{measured:.0f}y",
-            ])
-            data[f"{benchmark}/{collector}"] = {
-                "imbalance": result.wear_imbalance,
-                "efficiency": efficiency,
-                "lifetime_assumed_50pct": assumed,
-                "lifetime_measured": measured,
-            }
+    for key in keys():
+        result = results[key]
+        assumed = pcm_lifetime_years(result.pcm_write_rate_mbs, 10e6,
+                                     wear_leveling_efficiency=0.5)
+        efficiency = result.wear_efficiency or 1.0
+        measured = pcm_lifetime_years(
+            result.pcm_write_rate_mbs, 10e6,
+            wear_leveling_efficiency=max(0.01, efficiency))
+        rows.append([
+            key.benchmark, key.collector,
+            format_cell(result.wear_imbalance, "{:.1f}x"),
+            efficiency,
+            format_cell(assumed, "{:.0f}y"),
+            format_cell(measured, "{:.0f}y"),
+        ])
+        data[f"{key.benchmark}/{key.collector}"] = {
+            "imbalance": result.wear_imbalance,
+            "efficiency": efficiency,
+            "lifetime_assumed_50pct": assumed,
+            "lifetime_measured": measured,
+        }
     text = format_table(
         ["Benchmark", "Collector", "Raw imbalance", "Start-Gap eff.",
          "Lifetime @50%", "Lifetime measured"],

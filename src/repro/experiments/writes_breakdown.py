@@ -10,11 +10,12 @@ space for 1/2/4 instances of a benchmark under PCM-Only.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List
 
 from repro.experiments.common import ExperimentOutput, Results
 from repro.harness.experiment import RunKey
-from repro.harness.tables import format_table
+from repro.harness.tables import format_cell, format_table
 
 BENCHMARK = "lusearch"
 INSTANCE_COUNTS = (1, 2, 4)
@@ -26,17 +27,21 @@ def keys() -> List[RunKey]:
 
 
 def render(results: Results) -> ExperimentOutput:
-    breakdowns: Dict[int, Dict[str, int]] = {}
-    for count in INSTANCE_COUNTS:
-        result = results[RunKey(BENCHMARK, "PCM-Only", instances=count)]
-        breakdowns[count] = dict(result.per_tag_pcm_writes)
-    spaces = sorted({space for b in breakdowns.values() for space in b})
+    runs = [results[RunKey(BENCHMARK, "PCM-Only", instances=count)]
+            for count in INSTANCE_COUNTS]
+    # A failed run (a NaN placeholder) has no per-space counts: its
+    # column reads NaN, and when every run failed one "all" row of ERR
+    # cells stands in for the unknown spaces.
+    spaces = sorted({space for run in runs
+                     for space in run.per_tag_pcm_writes}) or ["all"]
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for space in spaces:
-        counts = [breakdowns[n].get(space, 0) for n in INSTANCE_COUNTS]
-        growth = counts[-1] / max(1, counts[0])
-        rows.append([space] + counts + [f"{growth:.1f}x"])
+        counts = [run.per_tag_pcm_writes.get(
+            space, math.nan if math.isnan(run.pcm_write_lines) else 0)
+            for run in runs]
+        growth = counts[-1] / max(counts[0], 1)
+        rows.append([space] + counts + [format_cell(growth, "{:.1f}x")])
         data[space] = {str(n): c for n, c in zip(INSTANCE_COUNTS, counts)}
         data[space]["growth"] = growth
     text = format_table(

@@ -69,6 +69,9 @@ class RunKey:
     scale: int = DEFAULT_SCALE_CONFIG.scale
     #: Kernel placement policy (see :mod:`repro.kernel.placement`).
     placement: str = "static"
+    #: Track per-line PCM wear (Start-Gap efficiency, imbalance); the
+    #: tracker only listens, so every counter is unchanged.
+    track_wear: bool = False
 
     def to_dict(self) -> Dict:
         """JSON form: a sweep checkpoint's and a sweep report's ``key``."""
@@ -77,7 +80,8 @@ class RunKey:
     @classmethod
     def from_dict(cls, data: Dict) -> "RunKey":
         """Inverse of :meth:`to_dict`; a record written before the
-        placement joined the key loads as ``static``."""
+        placement or wear tracking joined the key loads as ``static``,
+        untracked."""
         return cls(**{**data, "mode": EmulationMode(data["mode"])})
 
 
@@ -186,14 +190,16 @@ def _worker_init() -> None:
 def _execute(key: RunKey, profile: bool) -> MeasurementResult:
     """Build a platform and run ``key``'s configuration, uncached.
 
-    The one execution path for in-process runs and pool workers alike;
-    ``profile`` enables the attribution profiler for this run only.
+    The one execution path for in-process runs, pool workers and the
+    CLI's single-run verbs; ``profile`` enables the attribution
+    profiler for this run only.
     """
     from repro.workloads.registry import benchmark_factory
 
     scale = ScaleConfig(scale=key.scale)
     platform = HybridMemoryPlatform(mode=key.mode, scale=scale,
                                     llc_size_override=key.llc_size,
+                                    track_wear=key.track_wear,
                                     placement=key.placement)
     factory = benchmark_factory(key.benchmark)
 

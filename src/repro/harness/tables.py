@@ -18,7 +18,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
         if len(row) != columns:
             raise ValueError(f"row {row!r} does not match header width")
     cells = [[str(h) for h in headers]] + [
-        [_fmt(value) for value in row] for row in rows]
+        [format_cell(value) for value in row] for row in rows]
     widths = [max(len(row[col]) for row in cells) for col in range(columns)]
     lines: List[str] = []
     if title:
@@ -46,12 +46,15 @@ def render_series(series: Dict[str, Dict[str, float]], title: str = "",
     rows = []
     for name, values in series.items():
         rows.append([name] + [
-            _fmt(values[label], value_format) if label in values else "-"
+            format_cell(values[label], value_format)
+            if label in values else "-"
             for label in x_labels])
     return format_table(headers, rows, title=title)
 
 
-def _fmt(value: object, value_format: str = "{:.2f}") -> str:
+def format_cell(value: object, value_format: str = "{:.2f}") -> str:
+    """One table cell: a float through ``value_format``, NaN as
+    ``ERR``, anything else as ``str``."""
     if isinstance(value, float):
         if value != value:  # NaN marks a failed cell (see error_result)
             return "ERR"

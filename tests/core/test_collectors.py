@@ -16,10 +16,11 @@ from tests.conftest import build_test_vm
 
 class TestConfigs:
     def test_all_configurations_exist(self):
-        # The paper's eight, plus the Crystal Gazer extension.
+        # The paper's eight, plus the Crystal Gazer extension and the
+        # observer-size sweep's two KG-W variants.
         assert set(ALL_COLLECTOR_NAMES) == {
             "PCM-Only", "KG-N", "KG-B", "KG-N+LOO", "KG-B+LOO",
-            "KG-W", "KG-W-LOO", "KG-W-MDO", "KG-CG",
+            "KG-W", "KG-W-LOO", "KG-W-MDO", "KG-CG", "KG-W@1x", "KG-W@4x",
         }
 
     def test_unknown_name_rejected(self):
@@ -46,6 +47,16 @@ class TestConfigs:
         assert config.has_observer
         assert config.dram_mature and config.dram_los
         assert config.mdo and config.loo
+
+    def test_observer_size_variants_differ_from_kgw_only_in_size(self):
+        from dataclasses import replace
+
+        kgw = collector_config("KG-W")
+        assert kgw.observer_factor == 2
+        for factor in (1, 4):
+            variant = collector_config(f"KG-W@{factor}x")
+            assert variant == replace(kgw, name=f"KG-W@{factor}x",
+                                      observer_factor=factor)
 
     def test_kgw_ablations(self):
         assert not collector_config("KG-W-LOO").loo

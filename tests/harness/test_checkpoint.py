@@ -190,9 +190,25 @@ class TestHeaderStamp:
         assert list(loader.load()) == [_key()]
         assert loader.skipped == 0
 
+    def test_record_without_track_wear_loads_untracked(self, tmp_path):
+        # Records written before wear tracking joined the key.
+        path = str(tmp_path / "ckpt.jsonl")
+        SweepCheckpoint(path).append(_key(), _result())
+        with open(path, encoding="utf-8") as handle:
+            record = json.loads(handle.read())
+        del record["key"]["track_wear"]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        loader = SweepCheckpoint(path)
+        restored = list(loader.load())
+        assert restored == [_key()]
+        assert restored[0].track_wear is False
+        assert loader.skipped == 0
+
     def test_key_dict_round_trips(self):
         key = RunKey("pr", "KG-W", 4, "large", EmulationMode.SIMULATION,
-                     llc_size=4096, scale=128, placement="migrate")
+                     llc_size=4096, scale=128, placement="migrate",
+                     track_wear=True)
         assert RunKey.from_dict(json.loads(json.dumps(key.to_dict()))) \
             == key
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.platform import EmulationMode
-from repro.harness.experiment import ExperimentRunner, RunKey
+from repro.harness.checkpoint import canonical_result, result_to_dict
+from repro.harness.experiment import ExperimentRunner, RunKey, _execute
 from repro.machine.topology import PCM_NODE
 
 
@@ -79,6 +80,23 @@ class TestCaching:
         a = RunKey("x", "KG-N", 1, "default", EmulationMode.EMULATION)
         b = RunKey("x", "KG-N", 1, "default", EmulationMode.EMULATION)
         assert a == b and hash(a) == hash(b)
+
+
+class TestWearKey:
+    def test_wear_tracking_leaves_every_counter_unchanged(self):
+        plain = _execute(RunKey("fop", "KG-W"), False)
+        tracked = _execute(RunKey("fop", "KG-W", track_wear=True), False)
+        assert plain.wear_efficiency is None
+        assert plain.wear_imbalance is None
+        assert tracked.wear_efficiency is not None
+        assert tracked.wear_imbalance >= 1.0
+        wear = ("wear_efficiency", "wear_imbalance")
+        plain, tracked = (
+            {field: value for field, value
+             in canonical_result(result_to_dict(result)).items()
+             if field not in wear}
+            for result in (plain, tracked))
+        assert tracked == plain
 
 
 class TestHelpers:

@@ -34,6 +34,23 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "-c", "KG-XYZ"])
 
+    def test_track_wear_prints_wear_line(self, capsys):
+        assert main(["run", "-b", "fop", "-c", "KG-W", "--track-wear"]) == 0
+        assert "  wear: imbalance " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "-n", "0"], ["profile", "-n", "0"], ["stats", "-n", "-1"],
+        ["sweep", "-n", "0"], ["sweep", "-n", "1,0"],
+    ])
+    def test_instance_count_below_one_exits_two(self, argv, capsys):
+        # Rejected while parsing: no traceback, no failed sweep keys.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["-b", "fop"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "instance count must be at least 1" in captured.err
+
     @pytest.mark.parametrize("verb", ["run", "stats", "profile"])
     def test_unknown_benchmark_exits_two(self, verb, capsys):
         # Checked before the platform is built: no KeyError traceback.
@@ -64,6 +81,15 @@ class TestReproduce:
         assert main(["reproduce", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
+
+    @pytest.mark.parametrize("verb", ["reproduce", "trace"])
+    def test_help_lists_every_experiment(self, verb, capsys):
+        from repro.experiments import EXPERIMENTS
+
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(EXPERIMENTS) in out
 
     def test_unknown_experiment_rejected(self, capsys):
         assert main(["reproduce", "table99"]) == 2

@@ -5,21 +5,13 @@ import importlib
 import pytest
 
 from repro.experiments import EXPERIMENTS, ExperimentOutput, reproduce
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.experiment import ExperimentRunner, RunKey
 from repro.observability.metrics import METRICS
 
 from tests.pool_watchdog import with_watchdog
 
 PAPER_ARTIFACTS = ["table1", "table2", "figure3", "figure4", "figure5",
                    "figure6", "figure7", "figure8", "table3"]
-
-#: Experiments that measure outside the runner (a run key carries no
-#: wear tracking or observer factor): they declare no keys, and their
-#: ``render`` runs their private measurements.
-SELF_MEASURING = ["wear_analysis", "observer_sweep"]
-
-#: Every experiment whose ``render`` reads only its declared keys.
-RUNNER_BACKED = [name for name in EXPERIMENTS if name not in SELF_MEASURING]
 
 
 @pytest.fixture(autouse=True)
@@ -63,8 +55,8 @@ class TestRunPlan:
         monkeypatch.setattr("repro.harness.experiment._execute", refuse)
 
     @pytest.mark.parametrize("names,unique", [
-        (PAPER_ARTIFACTS, 168), (RUNNER_BACKED, 230)],
-        ids=["paper", "runner-backed"])
+        (PAPER_ARTIFACTS, 168), (EXPERIMENTS, 238)],
+        ids=["paper", "all"])
     def test_union_of_keys_renders_from_placeholders(self, names, unique):
         runner = ExperimentRunner()
         outputs, failures = reproduce(names, runner, max_workers=1)
@@ -76,10 +68,35 @@ class TestRunPlan:
         assert METRICS.value("runner.cache.misses") == unique
         for name, output in outputs.items():
             assert isinstance(output, ExperimentOutput), name
+            # Every failed cell reads ERR; no NaN leaks into the text.
+            assert "nan" not in output.text.lower(), name
+            assert ("ERR" in output.text) == (name != "table1"), name
 
-    def test_self_measuring_experiments_declare_no_keys(self):
-        for name in SELF_MEASURING:
-            assert _module(name).keys() == [], name
+    def test_every_measuring_experiment_declares_keys(self):
+        for name in EXPERIMENTS:
+            assert bool(_module(name).keys()) == (name != "table1"), name
+
+    def test_observer_default_is_figure4_run(self):
+        assert (set(_module("observer_sweep").keys())
+                & set(_module("figure4").keys())) == {RunKey("pjbb", "KG-W")}
+
+
+class TestPartialFailure:
+    def test_failed_run_reads_err_in_every_cell_it_feeds(self):
+        # Only the one-instance run failed: its column and the growth
+        # over it are ERR, not 0 or a ratio over a stand-in of 1.
+        from dataclasses import replace
+
+        from repro.experiments.common import error_result
+
+        module = _module("writes_breakdown")
+        failed, *measured = module.keys()
+        results = {failed: error_result(failed)}
+        for key in measured:
+            results[key] = replace(error_result(key), pcm_write_lines=5,
+                                   per_tag_pcm_writes={"nursery": 5})
+        text = module.render(results).text
+        assert "nursery | ERR |   5 |   5 |    ERR" in text
 
 
 class TestReproduce:
