@@ -13,7 +13,7 @@ to model realistic hardware (start-gap style) wear-levelling.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.config import GB
 
@@ -58,6 +58,13 @@ def pcm_lifetime_years(write_rate_mbs: float,
     return ideal_years * wear_leveling_efficiency
 
 
+def worst_rate(write_rates_mbs: Iterable[float]) -> float:
+    """The highest rate, or NaN (a failed run's placeholder) if any rate
+    is NaN; ``max`` keeps a NaN only when it comes first."""
+    rates = list(write_rates_mbs)
+    return float("nan") if any(r != r for r in rates) else max(rates)
+
+
 def worst_case_lifetime(write_rates_mbs: Sequence[float], *,
                         endurance_writes_per_cell: float = 10e6,
                         pcm_bytes: int = DEFAULT_PCM_BYTES,
@@ -68,12 +75,12 @@ def worst_case_lifetime(write_rates_mbs: Sequence[float], *,
     Model parameters are keyword-only: the old ``**kwargs`` forwarding
     let a positional second argument shadow ``endurance_writes_per_cell``
     (or collide with it when both were given), silently distorting the
-    Table III numbers.
+    Table III numbers.  A NaN rate (a failed run) makes it NaN.
     """
     if not write_rates_mbs:
         raise ValueError("need at least one write rate")
     return pcm_lifetime_years(
-        max(write_rates_mbs),
+        worst_rate(write_rates_mbs),
         endurance_writes_per_cell=endurance_writes_per_cell,
         pcm_bytes=pcm_bytes,
         wear_leveling_efficiency=wear_leveling_efficiency)

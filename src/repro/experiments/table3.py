@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.lifetime import PCM_ENDURANCE_LEVELS, pcm_lifetime_years
+from repro.core.lifetime import (
+    PCM_ENDURANCE_LEVELS,
+    pcm_lifetime_years,
+    worst_rate,
+)
 from repro.experiments.common import (
     DACAPO_MULTIPROG,
     GRAPHCHI_ALL,
@@ -36,11 +40,11 @@ def keys() -> List[RunKey]:
 
 
 def render(results: Results) -> ExperimentOutput:
-    worst_rate: Dict[str, Dict[int, float]] = {}
+    worst_rates: Dict[str, Dict[int, float]] = {}
     for collector in COLLECTORS:
-        worst_rate[collector] = {}
+        worst_rates[collector] = {}
         for count in INSTANCE_COUNTS:
-            worst_rate[collector][count] = max(
+            worst_rates[collector][count] = worst_rate(
                 results[RunKey(b, collector,
                                instances=count)].pcm_write_rate_mbs
                 for b in BENCHMARKS)
@@ -52,7 +56,7 @@ def render(results: Results) -> ExperimentOutput:
         for label, endurance in PCM_ENDURANCE_LEVELS.items():
             for collector in COLLECTORS:
                 years = pcm_lifetime_years(
-                    worst_rate[collector][count], endurance)
+                    worst_rates[collector][count], endurance)
                 key = f"{label}/{collector}/N={count}"
                 lifetimes[key] = {"years": years}
                 row.append(format_cell(years, "{:.0f}"))
@@ -66,5 +70,5 @@ def render(results: Results) -> ExperimentOutput:
         title=("Table III: worst-case PCM lifetime in years "
                "(32 GB PCM, 50% wear-levelling efficiency)"))
     return ExperimentOutput("table3", "PCM lifetimes", text,
-                            {"worst_rate_mbs": worst_rate,
+                            {"worst_rate_mbs": worst_rates,
                              "lifetimes": lifetimes})

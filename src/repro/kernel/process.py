@@ -3,8 +3,8 @@
 A :class:`Process` owns a page table and a set of :class:`SimThread`
 contexts.  ``SimThread.access`` is the single hottest function in the
 whole simulator: every mutator and collector byte-touch funnels through
-it, so it inlines the page-table walk and, for one-line touches, the
-whole cache walk.
+it, so it inlines the page-table walk and, for touches inside one page,
+the whole cache walk.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ class SimThread:
     def access(self, vaddr: int, size: int, is_write: bool) -> int:
         """Touch ``size`` bytes at ``vaddr``; returns cycles spent.
 
-        One page-table lookup per touch.  A one-line touch on a core
-        with a private cache runs the line's private -> LLC -> memory
-        sequence right here, in this frame; other touches inside one
-        virtual page are one ``access_run`` over their lines, and
-        page-crossing touches go through :meth:`access_block`.
+        One page-table lookup per touch.  On a core with a private
+        cache, a touch inside one virtual page runs each of its lines'
+        private -> LLC -> memory sequence right here, in this frame,
+        updating the cache stats line by line.  On an LLC-only core it
+        is one ``access_run`` over its lines, and page-crossing touches
+        go through :meth:`access_block`.
         """
         first = vaddr >> 6
         last = (vaddr + size - 1) >> 6
@@ -66,81 +67,75 @@ class SimThread:
                 self.process, vpage, self.socket_id, first << 6)
         line = base + (first & LINE_OFFSET_MASK)
         core = self.core_path
-        if first != last or core.private is None:
+        if core.private is None:
             cycles = core.access_run(line, last - first + 1, is_write)
             self.cycles += cycles
             return cycles
-        # One line: CorePath.access_run's count == 1 sequence, inline —
-        # the same pops and inserts in the same order and the same
-        # counter increments.  Write-backs call machine.memory_write at
-        # the point of use, so a patched NumaMachine.memory_write (the
-        # lost-writeback canary) is honoured here too.
+        # CorePath.access_run's pops and inserts, line by line, with the
+        # stats bumped as each line lands.  Write-backs call
+        # machine.memory_write at the point of use, so a patched one
+        # (the lost-writeback canary) is honoured here too.
+        p_sets = core.p_sets
         p_num = core.p_num
-        p_si = line % p_num
-        p_tag = line // p_num
-        cache_set = core.p_sets[p_si]
-        dirty = cache_set.pop(p_tag, None)
-        if dirty is not None:
-            cache_set[p_tag] = dirty or is_write
-            core.p_stats.hits += 1
-            cycles = core.l2_hit
-            self.cycles += cycles
-            return cycles
         p_stats = core.p_stats
-        l_stats = core.l_stats
-        l_sets = core.l_sets
-        l_num = core.l_num
-        l_assoc = core.l_assoc
-        p_stats.misses += 1
-        if len(cache_set) >= core.p_assoc:
-            for victim_tag in cache_set:
-                break
-            p_stats.evictions += 1
-            if cache_set.pop(victim_tag):
-                p_stats.dirty_evictions += 1
-                # Write the victim back into the LLC, which may displace
-                # a dirty LLC line to memory.
-                victim = victim_tag * p_num + p_si
-                wb_index = victim % l_num
-                wb_set = l_sets[wb_index]
-                wb_tag = victim // l_num
-                if wb_set.pop(wb_tag, None) is None:
-                    if len(wb_set) >= l_assoc:
-                        for out_tag in wb_set:
+        end = line + last - first
+        cycles = 0
+        while True:
+            cache_set = p_sets[line % p_num]
+            dirty = cache_set.pop(line, None)
+            if dirty is not None:
+                cache_set[line] = dirty or is_write
+                p_stats.hits += 1
+                cycles += core.l2_hit
+            else:
+                p_stats.misses += 1
+                if len(cache_set) >= core.p_assoc:
+                    for victim in cache_set:
+                        break
+                    p_stats.evictions += 1
+                    if cache_set.pop(victim):
+                        p_stats.dirty_evictions += 1
+                        # Write the victim back into the LLC, which may
+                        # displace a dirty LLC line to memory.
+                        wb_set = core.l_sets[victim % core.l_num]
+                        if wb_set.pop(victim, None) is None:
+                            if len(wb_set) >= core.l_assoc:
+                                for out in wb_set:
+                                    break
+                                core.l_stats.evictions += 1
+                                if wb_set.pop(out):
+                                    core.l_stats.dirty_evictions += 1
+                                    core.machine.memory_write(out)
+                        wb_set[victim] = True
+                cache_set[line] = is_write
+                # The demand read to the LLC.
+                l_set = core.l_sets[line % core.l_num]
+                dirty = l_set.pop(line, None)
+                if dirty is not None:
+                    l_set[line] = dirty
+                    core.l_stats.hits += 1
+                    cycles += core.llc_hit
+                else:
+                    l_stats = core.l_stats
+                    if len(l_set) >= core.l_assoc:
+                        for out in l_set:
                             break
                         l_stats.evictions += 1
-                        if wb_set.pop(out_tag):
+                        if l_set.pop(out):
                             l_stats.dirty_evictions += 1
-                            core.machine.memory_write(
-                                out_tag * l_num + wb_index)
-                wb_set[wb_tag] = True
-        cache_set[p_tag] = is_write
-        # The demand read to the LLC.
-        l_si = line % l_num
-        l_set = l_sets[l_si]
-        l_tag = line // l_num
-        dirty = l_set.pop(l_tag, None)
-        if dirty is not None:
-            l_set[l_tag] = dirty
-            l_stats.hits += 1
-            cycles = core.llc_hit
-        else:
-            if len(l_set) >= l_assoc:
-                for out_tag in l_set:
-                    break
-                l_stats.evictions += 1
-                if l_set.pop(out_tag):
-                    l_stats.dirty_evictions += 1
-                    core.machine.memory_write(out_tag * l_num + l_si)
-            l_set[l_tag] = False
-            l_stats.misses += 1
-            node = core.nodes[line >> NODE_LINE_SHIFT]
-            node.read_lines += 1
-            if node.node_id != core.home_node:
-                core.machine.qpi_crossings += 1
-                cycles = core.remote_dram
-            else:
-                cycles = core.local_dram
+                            core.machine.memory_write(out)
+                    l_set[line] = False
+                    l_stats.misses += 1
+                    node = core.nodes[line >> NODE_LINE_SHIFT]
+                    node.read_lines += 1
+                    if node.node_id != core.home_node:
+                        core.machine.qpi_crossings += 1
+                        cycles += core.remote_dram
+                    else:
+                        cycles += core.local_dram
+            if line == end:
+                break
+            line += 1
         self.cycles += cycles
         return cycles
 

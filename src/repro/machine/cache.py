@@ -4,13 +4,14 @@ The model tracks, per cache line, only presence and a dirty bit — the
 minimum state needed to count memory writes as dirty evictions, which is
 how the paper's emulation platform observes PCM writes.
 
-Implementation notes: each set is a plain ``dict`` mapping tag to dirty
-flag.  CPython dicts preserve insertion order, so LRU is "pop and
-re-insert on hit, evict first key on overflow" — all C-level operations,
-which keeps the per-access cost low enough to push millions of accesses
-through the simulator.  The first key is read with ``for tag in
-cache_set: break``, which, unlike ``next(iter(cache_set))``, makes no
-call.
+Implementation notes: each set is a plain ``dict`` mapping the full line
+address (not the tag, so no probe divides and a victim is its own key)
+to its dirty flag; line ``k`` lives in set ``k % num_sets``.  CPython
+dicts preserve insertion order, so LRU is "pop and re-insert on hit,
+evict first key on overflow" — all C-level operations, which keeps the
+per-access cost low enough to push millions of accesses through the
+simulator.  The first key is read with ``for victim in cache_set:
+break``, which, unlike ``next(iter(cache_set))``, makes no call.
 """
 
 from __future__ import annotations
@@ -118,16 +119,16 @@ class CacheLevel:
         #: law can account for every line that reached memory: node
         #: writes == dirty evictions + flush write-backs).
         self.flushed_dirty = 0
-        # One ordered dict per set: tag -> dirty flag.
+        # One ordered dict per set: line -> dirty flag, LRU first.
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(self.num_sets)]
 
     def lookup(self, line: int) -> bool:
         """Return True if ``line`` is present, without touching LRU state."""
-        return (line // self.num_sets) in self._sets[line % self.num_sets]
+        return line in self._sets[line % self.num_sets]
 
     def is_dirty(self, line: int) -> bool:
         """Return the dirty bit of ``line`` (False if absent)."""
-        return self._sets[line % self.num_sets].get(line // self.num_sets, False)
+        return self._sets[line % self.num_sets].get(line, False)
 
     def access(self, line: int, is_write: bool) -> Tuple[bool, Optional[int], bool]:
         """Access one cache line.
@@ -137,29 +138,26 @@ class CacheLevel:
         victim is evicted and returned so the caller can propagate a
         write-back.  ``victim_line`` is ``None`` when nothing was evicted.
         """
-        set_index = line % self.num_sets
-        tag = line // self.num_sets
-        cache_set = self._sets[set_index]
+        cache_set = self._sets[line % self.num_sets]
         stats = self.stats
-        dirty = cache_set.pop(tag, None)
+        dirty = cache_set.pop(line, None)
         if dirty is not None:
             # Hit: re-insert at MRU position, merging the dirty bit.
-            cache_set[tag] = dirty or is_write
+            cache_set[line] = dirty or is_write
             stats.hits += 1
             return True, None, False
         stats.misses += 1
-        victim_line: Optional[int] = None
-        victim_dirty = False
-        if len(cache_set) >= self.assoc:
-            for victim_tag in cache_set:
-                break
-            victim_dirty = cache_set.pop(victim_tag)
-            victim_line = victim_tag * self.num_sets + set_index
-            stats.evictions += 1
-            if victim_dirty:
-                stats.dirty_evictions += 1
-        cache_set[tag] = is_write
-        return False, victim_line, victim_dirty
+        if len(cache_set) < self.assoc:
+            cache_set[line] = is_write
+            return False, None, False
+        for victim in cache_set:
+            break
+        victim_dirty = cache_set.pop(victim)
+        stats.evictions += 1
+        if victim_dirty:
+            stats.dirty_evictions += 1
+        cache_set[line] = is_write
+        return False, victim, victim_dirty
 
     def access_run(self, first_line: int, count: int,
                    is_write: bool) -> Tuple[int, List[int]]:
@@ -179,21 +177,19 @@ class CacheLevel:
         evictions = 0
         dirty_victims: List[int] = []
         for line in range(first_line, first_line + count):
-            set_index = line % num_sets
-            tag = line // num_sets
-            cache_set = sets[set_index]
-            dirty = cache_set.pop(tag, None)
+            cache_set = sets[line % num_sets]
+            dirty = cache_set.pop(line, None)
             if dirty is not None:
-                cache_set[tag] = dirty or is_write
+                cache_set[line] = dirty or is_write
                 hits += 1
                 continue
             if len(cache_set) >= assoc:
-                for victim_tag in cache_set:
+                for victim in cache_set:
                     break
                 evictions += 1
-                if cache_set.pop(victim_tag):
-                    dirty_victims.append(victim_tag * num_sets + set_index)
-            cache_set[tag] = is_write
+                if cache_set.pop(victim):
+                    dirty_victims.append(victim)
+            cache_set[line] = is_write
         stats = self.stats
         stats.hits += hits
         stats.misses += count - hits
@@ -207,32 +203,29 @@ class CacheLevel:
         Returns ``(victim_line, victim_dirty)`` for any line displaced.
         Unlike :meth:`access`, this never counts as a demand hit/miss.
         """
-        set_index = line % self.num_sets
-        tag = line // self.num_sets
-        cache_set = self._sets[set_index]
-        if cache_set.pop(tag, None) is not None:
-            cache_set[tag] = True
+        cache_set = self._sets[line % self.num_sets]
+        if cache_set.pop(line, None) is not None:
+            cache_set[line] = True
             return None, False
-        victim_line: Optional[int] = None
-        victim_dirty = False
-        if len(cache_set) >= self.assoc:
-            for victim_tag in cache_set:
-                break
-            victim_dirty = cache_set.pop(victim_tag)
-            victim_line = victim_tag * self.num_sets + set_index
-            self.stats.evictions += 1
-            if victim_dirty:
-                self.stats.dirty_evictions += 1
-        cache_set[tag] = True
-        return victim_line, victim_dirty
+        if len(cache_set) < self.assoc:
+            cache_set[line] = True
+            return None, False
+        for victim in cache_set:
+            break
+        victim_dirty = cache_set.pop(victim)
+        self.stats.evictions += 1
+        if victim_dirty:
+            self.stats.dirty_evictions += 1
+        cache_set[line] = True
+        return victim, victim_dirty
 
     def flush(self) -> List[int]:
         """Write back and drop every line; return the dirty line addresses."""
         dirty_lines: List[int] = []
-        for set_index, cache_set in enumerate(self._sets):
-            for tag, dirty in cache_set.items():
+        for cache_set in self._sets:
+            for line, dirty in cache_set.items():
                 if dirty:
-                    dirty_lines.append(tag * self.num_sets + set_index)
+                    dirty_lines.append(line)
             cache_set.clear()
         self.flushed_dirty += len(dirty_lines)
         return dirty_lines
@@ -240,9 +233,16 @@ class CacheLevel:
     def resident_lines(self) -> List[int]:
         """All line addresses currently cached (for tests/invariants)."""
         lines: List[int] = []
-        for set_index, cache_set in enumerate(self._sets):
-            lines.extend(tag * self.num_sets + set_index for tag in cache_set)
+        for cache_set in self._sets:
+            lines.extend(cache_set)
         return lines
+
+    def misplaced_lines(self) -> List[Tuple[int, int]]:
+        """``(set index, line)`` for each resident line filed under a set
+        other than ``line % num_sets`` (the sanitizer's placement law)."""
+        num_sets = self.num_sets
+        return [(index, line) for index, cache_set in enumerate(self._sets)
+                for line in cache_set if line % num_sets != index]
 
     def set_occupancy(self) -> List[int]:
         """Valid-line count per set (the sanitizer's overflow law)."""

@@ -61,7 +61,7 @@ class CorePath:
         self.private = private
         # The hot fields, bound once: none of them is reassigned after
         # CacheLevel.__init__ or NumaMachine.__init__, so the access
-        # loops (access_run and the one-line path in SimThread.access)
+        # loops (access_run and the in-page loop in SimThread.access)
         # read plain attributes and set nothing up per call.
         llc = socket.llc
         self.l_sets = llc._sets
@@ -120,9 +120,9 @@ class CorePath:
         propagation are fused into one Python frame per run instead of
         three frames per line.  Callers must keep a run inside one
         physical frame (the batched page-table walk does), so the whole
-        run has a single home node.  ``SimThread.access`` runs the
-        ``count == 1`` sequence inline for its one-line touches on a
-        core with a private cache.
+        run has a single home node.  ``SimThread.access`` serves its
+        in-page touches itself on a core with a private cache, so this
+        runs page-crossing touches' pages and LLC-only cores' touches.
 
         Only the stats that moved are added, once, after the run.
         """
@@ -154,8 +154,7 @@ class CorePath:
         # carries no counter updates at all — hits and cycles are
         # derived from the miss counts after the run (identical totals;
         # latency is a pure function of the hit/miss classification).
-        # Private set indices advance incrementally (consecutive lines
-        # walk consecutive sets), so the hit path has no div/mod either.
+        # Sets are keyed by line, so a victim is its own key.
         # Write-backs call machine.memory_write at the point of use, so
         # a patched NumaMachine.memory_write (the lost-writeback canary)
         # is always honoured.
@@ -165,61 +164,49 @@ class CorePath:
         l_sets = self.l_sets
         l_num = self.l_num
         l_assoc = self.l_assoc
-        p_si = first_line % p_num
-        p_tag = first_line // p_num
         p_misses = p_evictions = p_dirty = 0
         l_hits = l_evictions = l_dirty = 0
         for line in range(first_line, first_line + count):
-            cache_set = p_sets[p_si]
-            dirty = cache_set.pop(p_tag, None)
+            cache_set = p_sets[line % p_num]
+            dirty = cache_set.pop(line, None)
             if dirty is not None:
-                cache_set[p_tag] = dirty or is_write
+                cache_set[line] = dirty or is_write
             else:
                 p_misses += 1
                 # Private miss: evict (write-back into the LLC, which
                 # may displace a dirty LLC line to memory), allocate,
                 # then issue the demand read to the LLC.
                 if len(cache_set) >= p_assoc:
-                    for victim_tag in cache_set:
+                    for victim in cache_set:
                         break
                     p_evictions += 1
-                    if cache_set.pop(victim_tag):
+                    if cache_set.pop(victim):
                         p_dirty += 1
-                        victim = victim_tag * p_num + p_si
-                        wb_index = victim % l_num
-                        wb_set = l_sets[wb_index]
-                        wb_tag = victim // l_num
-                        if wb_set.pop(wb_tag, None) is None:
+                        wb_set = l_sets[victim % l_num]
+                        if wb_set.pop(victim, None) is None:
                             if len(wb_set) >= l_assoc:
-                                for out_tag in wb_set:
+                                for out in wb_set:
                                     break
                                 l_evictions += 1
-                                if wb_set.pop(out_tag):
+                                if wb_set.pop(out):
                                     l_dirty += 1
-                                    machine.memory_write(
-                                        out_tag * l_num + wb_index)
-                        wb_set[wb_tag] = True
-                cache_set[p_tag] = is_write
-                l_si = line % l_num
-                l_set = l_sets[l_si]
-                l_tag = line // l_num
-                dirty = l_set.pop(l_tag, None)
+                                    machine.memory_write(out)
+                        wb_set[victim] = True
+                cache_set[line] = is_write
+                l_set = l_sets[line % l_num]
+                dirty = l_set.pop(line, None)
                 if dirty is not None:
-                    l_set[l_tag] = dirty
+                    l_set[line] = dirty
                     l_hits += 1
                 else:
                     if len(l_set) >= l_assoc:
-                        for out_tag in l_set:
+                        for out in l_set:
                             break
                         l_evictions += 1
-                        if l_set.pop(out_tag):
+                        if l_set.pop(out):
                             l_dirty += 1
-                            machine.memory_write(out_tag * l_num + l_si)
-                    l_set[l_tag] = False
-            p_si += 1
-            if p_si == p_num:
-                p_si = 0
-                p_tag += 1
+                            machine.memory_write(out)
+                    l_set[line] = False
         p_stats = self.p_stats
         p_hits = count - p_misses
         cycles = p_hits * self.l2_hit

@@ -31,9 +31,9 @@ violations):
 ``read_conservation``
     Lines read from memory nodes == LLC demand misses, as deltas.
 ``cache_accounting``
-    No cache set overflows its associativity; hit/miss/eviction
-    counters never go negative; dirty evictions never exceed demand
-    evictions.
+    No cache set overflows its associativity or holds a line of
+    another set; hit/miss/eviction counters never go negative; dirty
+    evictions never exceed demand evictions.
 ``frame_conservation``
     Each node's frames-in-use equals the number of virtual pages
     mapped to it across every live process, and the kernel's
@@ -238,6 +238,11 @@ class Sanitizer:
                            f"{cache.name}: set {index} holds "
                            f"{occupancy} lines, associativity is "
                            f"{cache.assoc}", cache=cache.name)
+        for index, line in cache.misplaced_lines()[:1]:
+            self._flag("cache_accounting", site,
+                       f"{cache.name}: line {line} in set {index} "
+                       f"(belongs in set {line % cache.num_sets})",
+                       cache=cache.name)
 
     # ------------------------------------------------------------------
     # Attribution law (profiler)

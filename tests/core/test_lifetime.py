@@ -11,6 +11,7 @@ from repro.core.lifetime import (
     PCM_ENDURANCE_LEVELS,
     pcm_lifetime_years,
     worst_case_lifetime,
+    worst_rate,
 )
 
 
@@ -64,6 +65,16 @@ class TestWorstCase:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             worst_case_lifetime([])
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_rate_makes_the_worst_case_nan(self, position):
+        rates = [10.0, 200.0, 50.0]
+        rates[position] = float("nan")
+        assert math.isnan(worst_rate(rates))
+        assert math.isnan(worst_case_lifetime(rates))
+
+    def test_worst_rate_takes_maximum(self):
+        assert worst_rate(iter([10.0, 200.0, 50.0])) == 200.0
 
     def test_model_parameters_are_keyword_only(self):
         # The old ``**kwargs`` forwarding accepted a positional second

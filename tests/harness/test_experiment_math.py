@@ -10,7 +10,8 @@ from typing import Dict
 import pytest
 
 from repro.core.platform import EmulationMode, MeasurementResult
-from repro.experiments import figure3, figure4, figure7, table3
+from repro.experiments import figure3, figure4, figure7, migration_vs_gc, table3
+from repro.experiments.common import error_result
 from repro.harness.experiment import RunKey
 
 
@@ -111,6 +112,55 @@ class TestTable3Math:
         worst = output.data["worst_rate_mbs"]
         assert worst["PCM-Only"][1] > worst["KG-W"][1]
         assert worst["PCM-Only"][4] > worst["PCM-Only"][1]
+
+    def test_failed_key_makes_its_worst_case_err(self):
+        # Python's max() keeps a NaN only when it comes first; "pr" is
+        # neither the first benchmark nor the highest rate, so a plain
+        # max over the column would print a number here.
+        fake = FakeResults()
+        from repro.experiments.table3 import BENCHMARKS
+        assert BENCHMARKS[0] != "pr"
+        for benchmark in BENCHMARKS:
+            for collector in ("PCM-Only", "KG-W"):
+                for count in (1, 4):
+                    fake.add(benchmark, collector, 1000, instances=count)
+        failed = RunKey("pr", "PCM-Only", instances=1)
+        fake.results[failed] = error_result(failed)
+        output = table3.render(fake.results)
+        worst = output.data["worst_rate_mbs"]
+        assert worst["PCM-Only"][1] != worst["PCM-Only"][1]  # NaN
+        assert worst["PCM-Only"][4] == worst["KG-W"][1] > 0
+        lifetimes = output.data["lifetimes"]
+        for key, cell in lifetimes.items():
+            failed_cell = key.endswith("/PCM-Only/N=1")
+            assert (cell["years"] != cell["years"]) == failed_cell, key
+        n1_row = next(line for line in output.text.splitlines()
+                      if line.lstrip().startswith("N = 1"))
+        assert n1_row.split().count("ERR") == 3
+
+
+class TestMigrationVsGcMath:
+    def test_failed_key_makes_its_footer_err(self):
+        results = {}
+        for key in migration_vs_gc.keys():
+            results[key] = MeasurementResult(
+                benchmark=key.benchmark, collector=key.collector,
+                mode=key.mode, instances=key.instances,
+                pcm_write_lines=1000, dram_write_lines=0,
+                elapsed_seconds=1e-3, per_tag_pcm_writes={},
+                per_tag_dram_writes={}, instance_stats=[],
+                placement=key.placement)
+        # The last benchmark's row, so the NaN is not first in its series.
+        failed = RunKey(migration_vs_gc.BENCHMARKS[-1], "PCM-Only",
+                        placement="first-touch")
+        results[failed] = error_result(failed)
+        output = migration_vs_gc.render(results)
+        worst = output.data["worst_case_lifetime_years"]
+        assert worst["OS first-touch"] != worst["OS first-touch"]  # NaN
+        assert worst["OS interleave"] == worst["OS static (all-PCM)"] > 0
+        footer = output.text.split("Worst case across benchmarks")[1]
+        assert "OS first-touch: worst-case lifetime ERR" in footer
+        assert footer.count("ERR") == 1
 
 
 class TestTable2Math:

@@ -1,14 +1,15 @@
 """``SimThread.access`` on single-page touches vs the per-line oracle.
 
-``access`` translates every touch with one page-table lookup.  A
-one-line touch on a core with a private cache then runs the line's
-private -> LLC -> memory sequence inline; any other touch inside one
-virtual page is one ``CorePath.access_run`` call; only page-crossing
-touches take ``access_block``.  Each case below replays the same steps
-on the default path and under ``per_line_oracle()`` and requires
-bit-identical node, LLC, private and QPI counters, ``writes_by_tag``,
-thread cycles, kernel counters and per-step exceptions, both before
-and after a final flush.
+``access`` translates every touch with one page-table lookup.  On a
+core with a private cache, a touch inside one virtual page then runs
+each line's private -> LLC -> memory sequence inline; on an LLC-only
+core it is one ``CorePath.access_run`` call; only page-crossing touches
+take ``access_block``.  Each case below replays the same steps on the
+default path and under ``per_line_oracle()`` and requires bit-identical
+node, LLC, private and QPI counters, ``writes_by_tag``, thread cycles,
+kernel counters and per-step exceptions, both before and after a final
+flush.  The sweep at the end compares every in-page touch shape, touch
+by touch, down to each cache's resident lines and dirty bits.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.kernel.process import SimThread
 from repro.kernel.vm import Kernel
 from repro.machine.numa import CorePath
 from repro.sanitize.fuzz import (
+    BASE_PAGES,
     DRAM_BASE,
     PCM_BASE,
     TraceOp,
@@ -176,6 +178,7 @@ def test_single_page_touches_skip_access_block(name, monkeypatch):
     calls = counting(monkeypatch)
     run_case(placement, ops)
     assert calls["access_block"] == 0
+    assert calls["access_run"] == 0
 
 
 def test_page_crossing_touches_take_access_block(monkeypatch):
@@ -396,3 +399,112 @@ def test_unbound_address_faults_before_touching_anything():
     assert replayer.kernel.page_faults == 1  # counted, then raised
     del before["kernel"], after["kernel"]
     assert after == before
+
+
+# ----------------------------------------------------------------------
+# Every in-page touch shape, touch by touch, on a warmed machine
+# ----------------------------------------------------------------------
+
+#: First lines of the swept touches: both page edges and their
+#: neighbours.
+START_LINES = (0, 1, 62, 63)
+LINES_PER_PAGE = PAGE_SIZE // 64
+
+
+def full_state(replayer: TraceReplayer) -> Dict[str, object]:
+    """The counter snapshot plus every cache's lines and dirty bits,
+    LRU first."""
+    state = replayer.snapshot()
+    caches = [socket.llc for socket in replayer.machine.sockets]
+    caches += [path.private for path in replayer.core_paths
+               if path.private is not None]
+    state["lines"] = [[list(cache_set.items()) for cache_set in cache._sets]
+                      for cache in caches]
+    return state
+
+
+def page_vaddr(index: int) -> int:
+    """The ``index``-th of the replayer's pages, DRAM and PCM in turn."""
+    base = DRAM_BASE if index % 2 == 0 else PCM_BASE
+    return base + (index // 2 % BASE_PAGES) * PAGE_SIZE
+
+
+def warm_ops() -> List[TraceOp]:
+    """Half-dirty, half-clean lines of every page in both sockets'
+    caches, so the swept touches hit, miss, evict and write back."""
+    ops = []
+    for index in range(2 * BASE_PAGES):
+        vaddr = page_vaddr(index)
+        ops.append(touch(vaddr, PAGE_SIZE // 2, thread=index % 3))
+        ops.append(touch(vaddr + PAGE_SIZE // 4, PAGE_SIZE // 2,
+                         is_write=False, thread=(index + 1) % 3))
+    return ops
+
+
+def assert_lockstep(fast: TraceReplayer, oracle: TraceReplayer,
+                    ops: List[TraceOp]) -> None:
+    """Apply each op on both sides; the states must match after each."""
+    for op in ops:
+        fast.apply(op)
+        with per_line_oracle():
+            oracle.apply(op)
+        assert full_state(fast) == full_state(oracle), op
+
+
+@pytest.mark.parametrize("private", [True, False],
+                         ids=["private-cache", "llc-only"])
+@pytest.mark.parametrize("is_write", [False, True], ids=["read", "write"])
+@pytest.mark.parametrize("start", START_LINES)
+def test_every_in_page_touch_matches_per_line_oracle(private, is_write,
+                                                     start):
+    fast = TraceReplayer(machine=small_machine(private))
+    oracle = TraceReplayer(machine=small_machine(private))
+    assert_lockstep(fast, oracle, warm_ops())
+    # Every line count up to the page end, each on the next page and
+    # thread (both nodes, local and remote), starting 8 bytes into the
+    # first line and ending 8 bytes before the end of the last.  The
+    # same thread then touches the range again the other way, so its
+    # lines hit the private cache: a write hit on a clean line, or a
+    # read hit on a dirty one.
+    ops = []
+    for count in range(1, LINES_PER_PAGE - start + 1):
+        vaddr = page_vaddr(count) + 64 * start + 8
+        for write in (is_write, not is_write):
+            ops.append(touch(vaddr, 64 * count - 16, is_write=write,
+                             thread=count % 3))
+    assert_lockstep(fast, oracle, ops)
+    # The sweep really ran the cache's whole miss path.
+    llc = fast.machine.sockets[0].llc.stats
+    assert llc.misses and llc.dirty_evictions
+    assert fast.machine.node_writes(1) and fast.machine.qpi_crossings
+
+
+@pytest.mark.parametrize("private", [True, False],
+                         ids=["private-cache", "llc-only"])
+def test_lazy_fault_on_multi_line_touch_matches_per_line_oracle(private):
+    fast = TraceReplayer(placement="first-touch",
+                         machine=small_machine(private))
+    oracle = TraceReplayer(placement="first-touch",
+                           machine=small_machine(private))
+    warm = [touch(DRAM_BASE + page * PAGE_SIZE, PAGE_SIZE, thread=page % 3)
+            for page in range(4)]
+    assert_lockstep(fast, oracle, warm)
+    assert fast.kernel.page_faults == 4
+    # Untouched pages: each multi-line touch faults its page in once.
+    assert_lockstep(fast, oracle, [
+        touch(DRAM_BASE + 5 * PAGE_SIZE + 100, 1000, thread=2),
+        touch(DRAM_BASE + 6 * PAGE_SIZE + 64 * 62, 128, is_write=False),
+    ])
+    assert fast.kernel.page_faults == 6
+    assert fast.machine.nodes[1].frames_in_use == 2  # pages 2 and 5
+
+
+@pytest.mark.parametrize("private", [True, False],
+                         ids=["private-cache", "llc-only"])
+def test_page_crossing_touch_matches_per_line_oracle(private):
+    fast = TraceReplayer(machine=small_machine(private))
+    oracle = TraceReplayer(machine=small_machine(private))
+    assert_lockstep(fast, oracle, warm_ops())
+    assert_lockstep(fast, oracle, [
+        touch(DRAM_BASE + 2 * PAGE_SIZE - 64 * 3 + 8, 64 * 6),
+    ])

@@ -244,9 +244,7 @@ def machine_state(machine, core):
         state[name] = (
             vars(cache.stats).copy(),
             # Resident lines with their dirty bits, LRU first.
-            [[(tag * cache.num_sets + index, dirty)
-              for tag, dirty in cache_set.items()]
-             for index, cache_set in enumerate(cache._sets)])
+            [list(cache_set.items()) for cache_set in cache._sets])
     return state
 
 

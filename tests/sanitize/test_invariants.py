@@ -109,10 +109,22 @@ class TestMachineLaws:
 
     def test_overfull_cache_set_detected(self, machine, sanitizer):
         llc = machine.sockets[0].llc
-        llc._sets[0] = {tag: False for tag in range(llc.assoc + 1)}
+        llc._sets[0] = {j * llc.num_sets: False
+                        for j in range(llc.assoc + 1)}
         sanitizer.check_machine(machine)
-        assert any(v.law == "cache_accounting"
-                   for v in sanitizer.violations)
+        assert [v.law for v in sanitizer.violations] == ["cache_accounting"]
+        assert "holds" in sanitizer.violations[0].detail
+
+    def test_line_in_wrong_set_detected(self, machine, sanitizer):
+        llc = machine.sockets[0].llc
+        sanitizer.check_machine(machine)
+        assert sanitizer.violations == []
+        # Line 1 belongs in set 1; plant it in set 0.
+        llc._sets[0][1] = True
+        sanitizer.check_machine(machine)
+        assert [v.law for v in sanitizer.violations] == ["cache_accounting"]
+        assert "line 1 in set 0 (belongs in set 1)" \
+            in sanitizer.violations[0].detail
 
 
 class TestKernelLaws:
