@@ -3,8 +3,8 @@
 A :class:`Process` owns a page table and a set of :class:`SimThread`
 contexts.  ``SimThread.access`` is the single hottest function in the
 whole simulator: every mutator and collector byte-touch funnels through
-it, so it inlines the page-table walk and, for touches inside one page,
-the whole cache walk.
+it, so it inlines the page-table walk and, for short touches inside one
+page, the whole cache walk.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from repro.machine.memory import NODE_LINE_SHIFT
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.vm import Kernel
     from repro.machine.numa import CorePath
+
+#: In-page touches of at most this many lines run in SimThread.access's
+#: frame; longer ones repay an access_run call with its local tallies.
+SHORT_TOUCH_LINES = 2
 
 
 class SimThread:
@@ -45,11 +49,11 @@ class SimThread:
         """Touch ``size`` bytes at ``vaddr``; returns cycles spent.
 
         One page-table lookup per touch.  On a core with a private
-        cache, a touch inside one virtual page runs each of its lines'
-        private -> LLC -> memory sequence right here, in this frame,
-        updating the cache stats line by line.  On an LLC-only core it
-        is one ``access_run`` over its lines, and page-crossing touches
-        go through :meth:`access_block`.
+        cache, a touch of at most ``SHORT_TOUCH_LINES`` lines inside one
+        virtual page runs each line's private -> LLC -> memory sequence
+        here, in this frame, bumping the stats line by line.  Any other
+        in-page touch is one ``access_run`` over its lines, and
+        page-crossing touches go through :meth:`access_block`.
         """
         first = vaddr >> 6
         last = (vaddr + size - 1) >> 6
@@ -67,8 +71,9 @@ class SimThread:
                 self.process, vpage, self.socket_id, first << 6)
         line = base + (first & LINE_OFFSET_MASK)
         core = self.core_path
-        if core.private is None:
-            cycles = core.access_run(line, last - first + 1, is_write)
+        count = last - first + 1
+        if count > SHORT_TOUCH_LINES or core.private is None:
+            cycles = core.access_run(line, count, is_write)
             self.cycles += cycles
             return cycles
         # CorePath.access_run's pops and inserts, line by line, with the
@@ -78,7 +83,8 @@ class SimThread:
         p_sets = core.p_sets
         p_num = core.p_num
         p_stats = core.p_stats
-        end = line + last - first
+        l2_hit = core.l2_hit
+        end = line + count - 1
         cycles = 0
         while True:
             cache_set = p_sets[line % p_num]
@@ -86,9 +92,13 @@ class SimThread:
             if dirty is not None:
                 cache_set[line] = dirty or is_write
                 p_stats.hits += 1
-                cycles += core.l2_hit
+                cycles += l2_hit
             else:
                 p_stats.misses += 1
+                l_sets = core.l_sets
+                l_num = core.l_num
+                l_assoc = core.l_assoc
+                l_stats = core.l_stats
                 if len(cache_set) >= core.p_assoc:
                     for victim in cache_set:
                         break
@@ -97,27 +107,26 @@ class SimThread:
                         p_stats.dirty_evictions += 1
                         # Write the victim back into the LLC, which may
                         # displace a dirty LLC line to memory.
-                        wb_set = core.l_sets[victim % core.l_num]
+                        wb_set = l_sets[victim % l_num]
                         if wb_set.pop(victim, None) is None:
-                            if len(wb_set) >= core.l_assoc:
+                            if len(wb_set) >= l_assoc:
                                 for out in wb_set:
                                     break
-                                core.l_stats.evictions += 1
+                                l_stats.evictions += 1
                                 if wb_set.pop(out):
-                                    core.l_stats.dirty_evictions += 1
+                                    l_stats.dirty_evictions += 1
                                     core.machine.memory_write(out)
                         wb_set[victim] = True
                 cache_set[line] = is_write
                 # The demand read to the LLC.
-                l_set = core.l_sets[line % core.l_num]
+                l_set = l_sets[line % l_num]
                 dirty = l_set.pop(line, None)
                 if dirty is not None:
                     l_set[line] = dirty
-                    core.l_stats.hits += 1
+                    l_stats.hits += 1
                     cycles += core.llc_hit
                 else:
-                    l_stats = core.l_stats
-                    if len(l_set) >= core.l_assoc:
+                    if len(l_set) >= l_assoc:
                         for out in l_set:
                             break
                         l_stats.evictions += 1

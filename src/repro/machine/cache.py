@@ -17,7 +17,7 @@ break``, which, unlike ``next(iter(cache_set))``, makes no call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass
@@ -147,17 +147,17 @@ class CacheLevel:
             stats.hits += 1
             return True, None, False
         stats.misses += 1
-        if len(cache_set) < self.assoc:
-            cache_set[line] = is_write
-            return False, None, False
-        for victim in cache_set:
-            break
-        victim_dirty = cache_set.pop(victim)
-        stats.evictions += 1
-        if victim_dirty:
-            stats.dirty_evictions += 1
+        victim_line: Optional[int] = None
+        victim_dirty = False
+        if len(cache_set) >= self.assoc:
+            for victim_line in cache_set:
+                break
+            victim_dirty = cache_set.pop(victim_line)
+            stats.evictions += 1
+            if victim_dirty:
+                stats.dirty_evictions += 1
         cache_set[line] = is_write
-        return False, victim, victim_dirty
+        return False, victim_line, victim_dirty
 
     def access_run(self, first_line: int, count: int,
                    is_write: bool) -> Tuple[int, List[int]]:
@@ -207,17 +207,17 @@ class CacheLevel:
         if cache_set.pop(line, None) is not None:
             cache_set[line] = True
             return None, False
-        if len(cache_set) < self.assoc:
-            cache_set[line] = True
-            return None, False
-        for victim in cache_set:
-            break
-        victim_dirty = cache_set.pop(victim)
-        self.stats.evictions += 1
-        if victim_dirty:
-            self.stats.dirty_evictions += 1
+        victim_line: Optional[int] = None
+        victim_dirty = False
+        if len(cache_set) >= self.assoc:
+            for victim_line in cache_set:
+                break
+            victim_dirty = cache_set.pop(victim_line)
+            self.stats.evictions += 1
+            if victim_dirty:
+                self.stats.dirty_evictions += 1
         cache_set[line] = True
-        return victim, victim_dirty
+        return victim_line, victim_dirty
 
     def flush(self) -> List[int]:
         """Write back and drop every line; return the dirty line addresses."""
@@ -237,12 +237,13 @@ class CacheLevel:
             lines.extend(cache_set)
         return lines
 
-    def misplaced_lines(self) -> List[Tuple[int, int]]:
+    def misplaced_lines(self) -> Iterator[Tuple[int, int]]:
         """``(set index, line)`` for each resident line filed under a set
-        other than ``line % num_sets`` (the sanitizer's placement law)."""
+        other than ``line % num_sets`` (the sanitizer's placement law),
+        lazily, so a caller can stop at the first."""
         num_sets = self.num_sets
-        return [(index, line) for index, cache_set in enumerate(self._sets)
-                for line in cache_set if line % num_sets != index]
+        return ((index, line) for index, cache_set in enumerate(self._sets)
+                for line in cache_set if line % num_sets != index)
 
     def set_occupancy(self) -> List[int]:
         """Valid-line count per set (the sanitizer's overflow law)."""

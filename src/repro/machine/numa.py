@@ -61,7 +61,7 @@ class CorePath:
         self.private = private
         # The hot fields, bound once: none of them is reassigned after
         # CacheLevel.__init__ or NumaMachine.__init__, so the access
-        # loops (access_run and the in-page loop in SimThread.access)
+        # loops (access_run and the short-touch loop in SimThread.access)
         # read plain attributes and set nothing up per call.
         llc = socket.llc
         self.l_sets = llc._sets
@@ -120,9 +120,10 @@ class CorePath:
         propagation are fused into one Python frame per run instead of
         three frames per line.  Callers must keep a run inside one
         physical frame (the batched page-table walk does), so the whole
-        run has a single home node.  ``SimThread.access`` serves its
-        in-page touches itself on a core with a private cache, so this
-        runs page-crossing touches' pages and LLC-only cores' touches.
+        run has a single home node.  ``SimThread.access`` serves in-page
+        touches of up to ``SHORT_TOUCH_LINES`` lines itself on a core
+        with a private cache; this runs its longer in-page touches,
+        each page of a page-crossing touch, and LLC-only cores' touches.
 
         Only the stats that moved are added, once, after the run.
         """

@@ -238,11 +238,12 @@ class Sanitizer:
                            f"{cache.name}: set {index} holds "
                            f"{occupancy} lines, associativity is "
                            f"{cache.assoc}", cache=cache.name)
-        for index, line in cache.misplaced_lines()[:1]:
+        for index, line in cache.misplaced_lines():
             self._flag("cache_accounting", site,
                        f"{cache.name}: line {line} in set {index} "
                        f"(belongs in set {line % cache.num_sets})",
                        cache=cache.name)
+            break  # one report per cache is enough
 
     # ------------------------------------------------------------------
     # Attribution law (profiler)
