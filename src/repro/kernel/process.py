@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: In-page touches of at most this many lines run in SimThread.access's
 #: frame; longer ones repay an access_run call with its local tallies.
-SHORT_TOUCH_LINES = 2
+SHORT_TOUCH_LINES = 4
 
 
 class SimThread:
@@ -71,9 +71,8 @@ class SimThread:
                 self.process, vpage, self.socket_id, first << 6)
         line = base + (first & LINE_OFFSET_MASK)
         core = self.core_path
-        count = last - first + 1
-        if count > SHORT_TOUCH_LINES or core.private is None:
-            cycles = core.access_run(line, count, is_write)
+        if last - first >= SHORT_TOUCH_LINES or core.private is None:
+            cycles = core.access_run(line, last - first + 1, is_write)
             self.cycles += cycles
             return cycles
         # CorePath.access_run's pops and inserts, line by line, with the
@@ -83,8 +82,7 @@ class SimThread:
         p_sets = core.p_sets
         p_num = core.p_num
         p_stats = core.p_stats
-        l2_hit = core.l2_hit
-        end = line + count - 1
+        end = line + last - first
         cycles = 0
         while True:
             cache_set = p_sets[line % p_num]
@@ -92,13 +90,9 @@ class SimThread:
             if dirty is not None:
                 cache_set[line] = dirty or is_write
                 p_stats.hits += 1
-                cycles += l2_hit
+                cycles += core.l2_hit
             else:
                 p_stats.misses += 1
-                l_sets = core.l_sets
-                l_num = core.l_num
-                l_assoc = core.l_assoc
-                l_stats = core.l_stats
                 if len(cache_set) >= core.p_assoc:
                     for victim in cache_set:
                         break
@@ -107,26 +101,27 @@ class SimThread:
                         p_stats.dirty_evictions += 1
                         # Write the victim back into the LLC, which may
                         # displace a dirty LLC line to memory.
-                        wb_set = l_sets[victim % l_num]
+                        wb_set = core.l_sets[victim % core.l_num]
                         if wb_set.pop(victim, None) is None:
-                            if len(wb_set) >= l_assoc:
+                            if len(wb_set) >= core.l_assoc:
                                 for out in wb_set:
                                     break
-                                l_stats.evictions += 1
+                                core.l_stats.evictions += 1
                                 if wb_set.pop(out):
-                                    l_stats.dirty_evictions += 1
+                                    core.l_stats.dirty_evictions += 1
                                     core.machine.memory_write(out)
                         wb_set[victim] = True
                 cache_set[line] = is_write
                 # The demand read to the LLC.
-                l_set = l_sets[line % l_num]
+                l_set = core.l_sets[line % core.l_num]
                 dirty = l_set.pop(line, None)
                 if dirty is not None:
                     l_set[line] = dirty
-                    l_stats.hits += 1
+                    core.l_stats.hits += 1
                     cycles += core.llc_hit
                 else:
-                    if len(l_set) >= l_assoc:
+                    l_stats = core.l_stats
+                    if len(l_set) >= core.l_assoc:
                         for out in l_set:
                             break
                         l_stats.evictions += 1
