@@ -159,6 +159,15 @@ class CacheLevel:
         cache_set[line] = is_write
         return False, victim_line, victim_dirty
 
+    def rehit(self, times: int) -> None:
+        """Count ``times`` demand hits on the line accessed last.
+
+        Re-touching the MRU line with the ``is_write`` of its last
+        access leaves the set's order and the line's dirty bit as they
+        are, so only the hit counter moves.
+        """
+        self.stats.hits += times
+
     def access_run(self, first_line: int, count: int,
                    is_write: bool) -> Tuple[int, List[int]]:
         """Access ``count`` consecutive lines starting at ``first_line``.

@@ -239,10 +239,6 @@ class JavaVM:
     def mutator(self, seed: int = 0) -> "MutatorContext":
         return MutatorContext(self, seed)
 
-    def live_heap_bytes(self) -> int:
-        return sum(obj.size for space in self.heap.spaces.values()
-                   for obj in space.live_objects())
-
     def finish(self) -> None:
         """Account mutator cycles at the end of a run segment."""
         total = sum(t.cycles for t in self.app_threads)
@@ -328,6 +324,65 @@ class MutatorContext:
             offset = self.rng.randrange(0, boot.size - 64)
             thread.access(boot.start + offset, 8, True)
         return obj
+
+    def alloc_many(self, count: int, scalar_bytes: int = 16,
+                   num_refs: int = 0) -> None:
+        """Allocate and zero ``count`` identical objects back to back.
+
+        For temporaries nothing keeps: the objects are not returned.
+        Counters, ``vm.stats``, the random draws and the nursery's
+        contents come out as after ``count`` calls of :meth:`alloc`, but
+        each uninterrupted stretch of objects is zeroed with one
+        :meth:`SimThread.access_objects`.  A stretch ends, and is zeroed
+        with its stats counted, before anything else touches memory: a
+        boot-noise write, a nursery collection, and the end of the
+        batch.  Large objects, an active fault plan and an attached
+        write profiler take :meth:`alloc` once per object.
+        """
+        vm = self.vm
+        size = object_size(scalar_bytes, num_refs)
+        if (size >= LOS_THRESHOLD or FAULTS.active is not None
+                or vm.write_profiler is not None):
+            for _ in range(count):
+                self.alloc(scalar_bytes, num_refs)
+            return
+        thread = self._threads[self.thread_index]
+        nursery = vm.nursery
+        name = nursery.name
+        stats = vm.stats
+        noise = vm.boot_noise_rate
+        draw = self.rng.random
+        while count > 0:
+            # A collection replaces nursery.objects, so bind it afresh
+            # for each stretch.
+            objects = nursery.objects
+            start = addr = nursery.bump
+            last = nursery.end - size  # the last address an object fits at
+            noisy = False
+            while count and addr <= last:
+                objects.append(Obj(addr, size, num_refs, name))
+                addr += size
+                count -= 1
+                if noise and draw() < noise:
+                    noisy = True
+                    break
+            if addr != start:
+                nursery.bump = addr
+                thread.access_objects(start, size, (addr - start) // size,
+                                      True)
+                stats.bytes_allocated += addr - start
+                stats.objects_allocated += (addr - start) // size
+            if noisy:
+                # alloc's occasional VM-service write to the boot image.
+                boot = vm.boot
+                offset = self.rng.randrange(0, boot.size - 64)
+                thread.access(boot.start + offset, 8, True)
+            elif count:
+                # The nursery is full: _alloc_nursery's collect loop.
+                vm.minor_collect()
+                if nursery.bump + size > nursery.end and size > nursery.size:
+                    raise OutOfMemoryError(
+                        f"object of {size} B cannot fit the nursery")
 
     def _alloc_nursery(self, size: int, num_refs: int) -> Obj:
         """Slow path once the inline bump has failed: collect the

@@ -39,9 +39,6 @@ class Space:
     def live_objects(self) -> Iterator[Obj]:
         raise NotImplementedError
 
-    def object_count(self) -> int:
-        return sum(1 for _ in self.live_objects())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "DRAM" if self.in_dram else "PCM"
         return f"{type(self).__name__}({self.name}, {kind})"

@@ -590,14 +590,26 @@ def read_trace_jsonl(path: str) -> List[TraceOp]:
 # The per-line oracle and planted bugs (self-tests and CI canaries)
 # ----------------------------------------------------------------------
 
+def _objects_per_line(thread: SimThread, vaddr: int, size: int,
+                      count: int, is_write: bool) -> int:
+    """The oracle's ``access_objects``: one per-line walk per object."""
+    cycles = 0
+    for _ in range(count):
+        cycles += thread.access_per_line(vaddr, size, is_write)
+        vaddr += size
+    return cycles
+
+
 @contextmanager
 def per_line_oracle():
     """Route every :class:`SimThread` access through the per-line walk.
 
     For the duration of the block ``SimThread.access`` and
     ``SimThread.access_block`` both point at
-    :meth:`SimThread.access_per_line`, so nothing reaches the fused
-    ``CorePath.access_run`` loops.  On exit whatever was installed on
+    :meth:`SimThread.access_per_line`, and ``SimThread.access_objects``
+    walks its objects one by one through it, so nothing reaches the
+    fused ``CorePath.access_run`` loops or the boundary re-touch count.
+    On exit whatever was installed on
     entry comes back — a :func:`planted_bug` patch included, so the
     oracle nests inside ``planted_bug("short-block")`` and the
     reference side stays clean.  This is the oracle's only way in; the
@@ -606,13 +618,16 @@ def per_line_oracle():
     """
     original_access = SimThread.access
     original_block = SimThread.access_block
+    original_objects = SimThread.access_objects
     SimThread.access = SimThread.access_per_line  # type: ignore[method-assign]
     SimThread.access_block = SimThread.access_per_line  # type: ignore[method-assign]
+    SimThread.access_objects = _objects_per_line  # type: ignore[method-assign]
     try:
         yield
     finally:
         SimThread.access = original_access  # type: ignore[method-assign]
         SimThread.access_block = original_block  # type: ignore[method-assign]
+        SimThread.access_objects = original_objects  # type: ignore[method-assign]
 
 
 PLANTED_BUGS = ("short-block", "clean-write", "lost-writeback")

@@ -159,8 +159,7 @@ class GraphChiJavaApp(BenchmarkApp):
 
     def _java_vertex_temps(self, ctx: MutatorContext, degree: int) -> None:
         """ChiVertex/ChiEdge wrapper boxing for one vertex."""
-        for _ in range(1 + degree):
-            ctx.alloc(scalar_bytes=32, num_refs=1)
+        ctx.alloc_many(1 + degree, scalar_bytes=32, num_refs=1)
 
     def _interval_snapshot(self, ctx: MutatorContext) -> None:
         """Engine bookkeeping retained for about one full sweep.

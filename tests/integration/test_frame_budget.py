@@ -5,6 +5,9 @@ are not frames), so the pins are deterministic and need no timing:
 
 * a small one-line nursery allocation bump-allocates inline and zeroes
   the object inside ``SimThread.access``, with no frame below it;
+* a warm batch of temporaries that fits one short in-page stretch is
+  one ``Obj.__init__`` per object and one union touch, with its
+  boundary re-touches counted by one ``CacheLevel.rehit``;
 * a warm ``read_ref`` of a one-line slot is ``SimThread.access`` alone;
 * one dirty LLC eviction costs exactly ``NumaMachine.memory_write`` and
   ``MemoryNode.record_write``.
@@ -19,7 +22,8 @@ import sys
 from typing import Callable, List
 
 from repro.config import KB
-from repro.runtime.objectmodel import HEADER_BYTES, REF_BYTES
+from repro.kernel.process import SHORT_TOUCH_LINES
+from repro.runtime.objectmodel import HEADER_BYTES, REF_BYTES, object_size
 
 from tests.conftest import build_test_machine, build_test_vm
 
@@ -74,6 +78,30 @@ def test_warm_small_nursery_alloc_frames():
     assert without_write_backs(frames) == [
         "MutatorContext.alloc", "object_size", "Obj.__init__",
         "SimThread.access"]
+
+
+def test_warm_one_stretch_alloc_many_frames():
+    vm = build_test_vm(machine=build_test_machine(private_l2=4 * KB))
+    ctx = vm.mutator()
+    ctx.alloc(scalar_bytes=16)  # first touch of the nursery page
+    while vm.nursery.bump % 64:
+        ctx.alloc(scalar_bytes=0)
+    start = vm.nursery.bump
+    count = 4
+    size = object_size(32, 1)
+    # Four 44-byte temporaries: three lines of one page, so the union
+    # touch runs in SimThread.access's frame.
+    assert start >> 12 == (start + count * size - 1) >> 12
+    assert (start + count * size - 1) // 64 - start // 64 < SHORT_TOUCH_LINES
+
+    frames = python_frames(
+        lambda: ctx.alloc_many(count, scalar_bytes=32, num_refs=1))
+
+    assert vm.nursery.bump == start + count * size  # one stretch
+    assert without_write_backs(frames) == [
+        "MutatorContext.alloc_many", "object_size",
+        *["Obj.__init__"] * count,
+        "SimThread.access_objects", "SimThread.access", "CacheLevel.rehit"]
 
 
 def test_warm_read_ref_is_one_frame():

@@ -11,8 +11,10 @@ KG-W digests are also the seed-0 entries of
 Comparing the access path with the per-line oracle cannot catch a drift
 in code they share (the workload model, the runtime, the random draws),
 so every case is compared against a checked-in digest instead, and the
-fop and xalan cases run both on the default ``batched`` access path
-and under the ``perline`` oracle (:func:`per_line_oracle`).  The
+fop, xalan and pr cases run both on the default ``batched`` access path
+and under the ``perline`` oracle (:func:`per_line_oracle`).  Under the
+oracle, pr's batches of GraphChi temporaries are zeroed object by
+object, so its ``perline`` leg pins ``access_objects`` too.  The
 PCM-Only configurations run every thread on the PCM socket, and
 ``migrate`` also moves pages at placement safepoints, covering the
 write-back and migration paths that KG-W on its own misses.  The
@@ -47,7 +49,7 @@ EMU = EmulationMode.EMULATION
 CASES = {
     "xalan/KG-W": ("xalan", "KG-W", EMU, "static", 1,
                    ("perline", "batched")),
-    "pr/KG-W": ("pr", "KG-W", EMU, "static", 1, ("batched",)),
+    "pr/KG-W": ("pr", "KG-W", EMU, "static", 1, ("perline", "batched")),
     "fop/KG-W": ("fop", "KG-W", EMU, "static", 1, ("perline", "batched")),
     "fop/PCM-Only": ("fop", "PCM-Only", EMU, "static", 1,
                      ("perline", "batched")),

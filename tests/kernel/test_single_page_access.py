@@ -105,6 +105,11 @@ CASES: Dict[str, Tuple[str, List[TraceOp]]] = {
         touch(UNMAPPED + 64, 0),
         touch(UNMAPPED + 128, -64),
         touch(DRAM_BASE + 128, 0),
+        # Unaligned: the empty range still covers no line.
+        touch(UNMAPPED + 100, 0),
+        touch(UNMAPPED + 200, -1),
+        touch(DRAM_BASE + 200, 0),
+        touch(DRAM_BASE + PAGE_SIZE - 8, 0, is_write=False),
     ]),
 }
 
@@ -215,11 +220,18 @@ def test_zero_size_touch_does_not_fault_or_touch_a_cache(monkeypatch):
     thread = replayer.threads[0]
     thread.access(DRAM_BASE + 8, 8, True)
     before = replayer.snapshot()
-    for vaddr, size in ((UNMAPPED, 0), (UNMAPPED + 64, 0),
-                        (UNMAPPED + 128, -64), (DRAM_BASE + 128, 0)):
+    empty = ((UNMAPPED, 0), (UNMAPPED + 64, 0), (UNMAPPED + 128, -64),
+             (DRAM_BASE + 128, 0), (UNMAPPED + 100, 0),
+             (UNMAPPED + 200, -1), (DRAM_BASE + 200, 0),
+             (DRAM_BASE + PAGE_SIZE - 8, 0))
+    for vaddr, size in empty:
         assert thread.access(vaddr, size, True) == 0
+        assert thread.access_block(vaddr, size, True) == 0
+        assert thread.access_per_line(vaddr, size, True) == 0
     assert replayer.snapshot() == before
-    assert calls == {"access_block": 0, "access_run": 0, "fault_in": 0}
+    # Only the direct access_block calls above: access sent none there.
+    assert calls == {"access_block": len(empty), "access_run": 0,
+                     "fault_in": 0}
     assert replayer.kernel.page_faults == 0
 
 

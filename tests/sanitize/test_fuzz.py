@@ -113,16 +113,18 @@ class TestPerLineOracle:
 
     @staticmethod
     def _touch():
-        """One single-line access, one multi-page access, one block."""
+        """One single-line access, one multi-page access, one block, and
+        a stretch of three objects (one per-line walk each)."""
         thread = TraceReplayer().threads[0]
         thread.access(DRAM_BASE + 8, 8, True)
         thread.access(DRAM_BASE + 100, 2 * PAGE_SIZE, False)
         thread.access_block(PCM_BASE, 256, True)
+        thread.access_objects(PCM_BASE + 8, 100, 3, True)
 
     def test_accesses_reach_the_per_line_walk_only(self, calls):
         with per_line_oracle():
             self._touch()
-        assert calls == {"per_line": 3, "access_run": 0}
+        assert calls == {"per_line": 6, "access_run": 0}
 
     def test_outside_the_oracle_accesses_take_access_run(self, calls):
         self._touch()
@@ -132,16 +134,20 @@ class TestPerLineOracle:
     def test_methods_restored_on_exit_and_on_error(self):
         access = SimThread.access
         block = SimThread.access_block
+        objects = SimThread.access_objects
         with per_line_oracle():
             assert SimThread.access is SimThread.access_per_line
             assert SimThread.access_block is SimThread.access_per_line
+            assert SimThread.access_objects is not objects
         assert SimThread.access is access
         assert SimThread.access_block is block
+        assert SimThread.access_objects is objects
         with pytest.raises(RuntimeError):
             with per_line_oracle():
                 raise RuntimeError("boom")
         assert SimThread.access is access
         assert SimThread.access_block is block
+        assert SimThread.access_objects is objects
 
     def test_nests_inside_planted_short_block(self, calls):
         access = SimThread.access
@@ -152,7 +158,7 @@ class TestPerLineOracle:
             with per_line_oracle():
                 self._touch()
                 assert SimThread.access_block is SimThread.access_per_line
-            assert calls == {"per_line": 3, "access_run": 0}
+            assert calls == {"per_line": 6, "access_run": 0}
             assert SimThread.access_block is buggy
             assert SimThread.access is access
         assert SimThread.access_block is block
