@@ -609,8 +609,8 @@ def per_line_oracle():
     :meth:`SimThread.access_per_line`, and ``SimThread.access_objects``
     walks its objects one by one through it, so nothing reaches the
     fused ``CorePath.access_run`` loops or the boundary re-touch count.
-    On exit whatever was installed on
-    entry comes back — a :func:`planted_bug` patch included, so the
+    On exit whatever was installed on entry comes back — a
+    :func:`planted_bug` patch included, so the
     oracle nests inside ``planted_bug("short-block")`` and the
     reference side stays clean.  This is the oracle's only way in; the
     differential fuzzer, the golden-run oracle cases and the hot-path
