@@ -34,6 +34,7 @@ from repro.observability import (
     TRACER,
     attribution_table,
     enable_console,
+    result_metrics,
     run_report,
     to_chrome_trace,
     to_folded,
@@ -130,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the export here instead of stdout")
 
     stats = sub.add_parser(
-        "stats", help="measure one configuration and render the "
-                      "metrics registry as a table")
+        "stats", help="measure one configuration and render its "
+                      "counters and the host events as tables")
     _add_measurement_args(stats)
 
     sweep = sub.add_parser(
@@ -298,7 +299,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             result = _execute(_run_key(args, args.track_wear), False)
             report = run_report(result, gc_spans=TRACER.spans("gc."),
-                                metrics=METRICS.as_dict(),
+                                metrics=result_metrics(result).as_dict(),
                                 trace_dropped=TRACER.dropped)
         finally:
             TRACER.enabled = was_enabled
@@ -570,7 +571,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if TRACER.dropped:
         print(f"trace.dropped: {TRACER.dropped}")
     print()
-    print(METRICS.render_table(title="Metrics registry:"))
+    simulated = result_metrics(result)
+    print(simulated.render_table(title="Metrics registry:"))
+    print()
+    # Leave out the kernel counters platform.run also bridges into
+    # METRICS for the end-to-end benchmark: the table above has them.
+    print(METRICS.render_table(title="Host events:",
+                               exclude=simulated.names()))
     return 0
 
 

@@ -3,20 +3,21 @@
 A checkpoint is a JSON-lines file: one self-contained record per
 completed run key, appended (and flushed) the moment the run finishes,
 so a sweep killed mid-flight keeps everything it already paid for.
-Each record carries the run key, the full
-:class:`~repro.core.platform.MeasurementResult`, and the run's isolated
-metrics snapshot — the same snapshot a pool worker ships back — so a
-resumed sweep reconstructs both the results *and* the merged metrics
-registry bit-identically to an uninterrupted pass.
+Each record carries the run key and the full
+:class:`~repro.core.platform.MeasurementResult`, which holds every
+simulated counter, so a resumed sweep reconstructs the results
+bit-identically to an uninterrupted pass.
 
 Record layout (one JSON object per line)::
 
     {"schema": "repro.sweep_checkpoint/v1",
      "key": {"benchmark": ..., "collector": ..., "instances": ...,
              "dataset": ..., "mode": ..., "llc_size": ..., "scale": ...,
-             "placement": ...},
-     "result": {<MeasurementResult fields>},
-     "metrics": {<MetricsRegistry.as_dict() snapshot>}}
+             "placement": ..., "track_wear": ...},
+     "result": {<MeasurementResult fields>}}
+
+Records written before the result held every counter also carry a
+``"metrics"`` registry snapshot; the loader ignores it.
 
 Unreadable lines (a record cut short by the kill) are skipped on load:
 the worst case is re-running the interrupted key.  A *torn trailing*
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.platform import EmulationMode, MeasurementResult
 from repro.observability.log import get_logger
@@ -137,6 +138,7 @@ def result_to_dict(result: MeasurementResult) -> Dict:
         "migration_cycles": result.migration_cycles,
         "pcm_migration_write_lines": result.pcm_migration_write_lines,
         "dram_migration_write_lines": result.dram_migration_write_lines,
+        "kernel_counters": dict(result.kernel_counters),
     }
 
 
@@ -171,6 +173,7 @@ def result_from_dict(data: Dict) -> MeasurementResult:
         migration_cycles=data.get("migration_cycles", 0),
         pcm_migration_write_lines=data.get("pcm_migration_write_lines", 0),
         dram_migration_write_lines=data.get("dram_migration_write_lines", 0),
+        kernel_counters=dict(data.get("kernel_counters", {})),
     )
 
 
@@ -178,16 +181,20 @@ def result_from_dict(data: Dict) -> MeasurementResult:
 # Canonical forms: the simulated counters without host timing
 # ----------------------------------------------------------------------
 
-#: Result fields stripped by :func:`canonical_result` (host-dependent).
-_NONCANONICAL_RESULT_FIELDS = ("host_seconds", "profile")
+#: Result fields stripped by :func:`canonical_result`: host timing and
+#: the profile artifact, and ``kernel_counters``.  The canonical form is
+#: the contract the golden digests pin (``tests/integration`` and the
+#: end-to-end benchmark's), so a field that joins the result later
+#: stays out of it.
+_NONCANONICAL_RESULT_FIELDS = ("host_seconds", "profile", "kernel_counters")
 
 
 def canonical_result(result_dict: Dict) -> Dict:
-    """Strip host-dependent fields from a serialised result.
+    """Strip the non-canonical fields from a serialised result.
 
-    What remains is the simulated counters, bit-identical for identical
-    inputs: the golden digests, the end-to-end benchmark and the sweep
-    resume test all compare this form.
+    What remains is simulated counters, bit-identical for identical
+    inputs: the golden digests and the end-to-end benchmark compare
+    this form.
     """
     return {field: value for field, value in result_dict.items()
             if field not in _NONCANONICAL_RESULT_FIELDS}
@@ -222,8 +229,7 @@ class SweepCheckpoint:
         with open(self.path, "w", encoding="utf-8"):
             pass
 
-    def append(self, key, result: MeasurementResult,
-               metrics: Optional[Dict] = None) -> None:
+    def append(self, key, result: MeasurementResult) -> None:
         """Persist one completed run (flushed so a kill cannot lose it).
 
         A torn trailing record left by an earlier crash is truncated
@@ -234,7 +240,6 @@ class SweepCheckpoint:
             "schema": CHECKPOINT_SCHEMA,
             "key": key.to_dict(),
             "result": result_to_dict(result),
-            "metrics": metrics or {},
         }
         repair_jsonl_tail(self.path)
         with open(self.path, "a", encoding="utf-8") as handle:
@@ -247,7 +252,7 @@ class SweepCheckpoint:
     # Reading
     # ------------------------------------------------------------------
     def load(self) -> Dict:
-        """``{RunKey: (MeasurementResult, metrics_snapshot)}`` on disk.
+        """``{RunKey: MeasurementResult}`` on disk.
 
         Missing file -> empty dict.  A torn trailing record (crash
         mid-write) is salvaged around — every complete record loads,
@@ -281,5 +286,5 @@ class SweepCheckpoint:
                     TRACER.event("checkpoint.skipped_record",
                                  path=self.path)
                 continue  # unreadable record: re-run that key
-            restored[key] = (result, record.get("metrics", {}))
+            restored[key] = result
         return restored

@@ -12,8 +12,11 @@ live in one place: :meth:`ExperimentRunner.sweep`.
 Independent configurations are embarrassingly parallel — each platform
 run builds its own machine, kernel, and runtime — so
 :meth:`ExperimentRunner.sweep` fans a list of run keys across a process
-pool and merges results (and worker-side metrics) deterministically in
-input order.  The sweep is crash-tolerant:
+pool and assembles the results in input order.  A worker returns only
+its :class:`~repro.core.platform.MeasurementResult`, which holds every
+simulated counter; host events (``runner.*``, ``faults.injected.*``,
+...) stay in the registry of the process that records them.  The sweep
+is crash-tolerant:
 
 * every fresh key is submitted as its own future with a per-run
   ``timeout``, so one wedged worker cannot stall the whole pool;
@@ -31,10 +34,9 @@ input order.  The sweep is crash-tolerant:
   a :class:`RunOutcome` holding either the result or a
   :class:`FailureRecord` — instead of raising away completed siblings;
   :meth:`SweepReport.raise_first_failure` is the strict mode;
-* with ``checkpoint=``, each completion is appended to a JSONL file
-  (result plus the run's isolated metrics snapshot) and ``resume=True``
-  replays finished keys without re-executing them, reproducing the
-  merged metrics registry bit-identically.
+* with ``checkpoint=``, each completion's result is appended to a
+  JSONL file and ``resume=True`` replays finished keys without
+  re-executing them, bit-identically.
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ class RunKey:
     #: Track per-line PCM wear (Start-Gap efficiency, imbalance); the
     #: tracker only listens, so every counter is unchanged.
     track_wear: bool = False
+
+    def __post_init__(self) -> None:
+        # An LLC override equal to the scale's own LLC builds the
+        # default machine, so it is the default key: one run, not two.
+        if self.llc_size == ScaleConfig(scale=self.scale).llc_size:
+            object.__setattr__(self, "llc_size", 0)
 
     def to_dict(self) -> Dict:
         """JSON form: a sweep checkpoint's and a sweep report's ``key``."""
@@ -165,7 +173,6 @@ class _Exec:
     """Internal: one unique key's execution outcome before assembly."""
 
     result: Optional[MeasurementResult] = None
-    snapshot: Optional[Dict] = None
     failure: Optional[FailureRecord] = None
     attempts: int = 1
 
@@ -216,27 +223,27 @@ def _execute(key: RunKey, profile: bool) -> MeasurementResult:
             PROFILER.disable()
 
 
-def _worker_run(task: Tuple[RunKey, int, bool]
-                ) -> Tuple[MeasurementResult, Dict[str, Dict[str, float]]]:
+def _worker_run(task: Tuple[RunKey, int, bool]) -> MeasurementResult:
     """Execute one ``(key, attempt, profile)`` task in a pool worker.
 
     Module-level so it pickles under the default (fork or spawn) start
-    method.  The worker's global registry is reset first: pool workers
-    are reused across tasks (and fork inherits the parent's counters),
-    so without the reset a worker's snapshot would double-count earlier
-    runs when merged.  ``attempt`` is for the env-keyed fault shim
-    (crash or hang on the Nth attempt).
+    method.  ``attempt`` is for the env-keyed fault shim (crash or hang
+    on the Nth attempt).
     """
     from repro.faults.worker import maybe_fault
 
     key, attempt, profile = task
     maybe_fault(key, attempt)
-    METRICS.reset()
-    return _execute(key, profile), METRICS.as_dict()
+    return _execute(key, profile)
 
 
 class ExperimentRunner:
     """Runs and caches platform measurements.
+
+    A result is the run's whole record: every simulated counter rides
+    on it, so a sweep merges no worker registries and a resumed sweep
+    needs only the checkpointed results.  The ``runner.*`` counters go
+    to this process's :data:`~repro.observability.metrics.METRICS`.
 
     Parameters
     ----------
@@ -276,27 +283,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Execution plumbing
     # ------------------------------------------------------------------
-    def _run_isolated(self, key: RunKey
-                      ) -> Tuple[MeasurementResult, Dict]:
-        """Execute ``key`` in-process with a worker-style isolated
-        metrics snapshot.
-
-        The global registry is parked, the run records into an empty
-        one, and the run's snapshot comes back exactly like a pool
-        worker's — so serial and parallel sweeps merge identically.  A
-        failing run's partial metrics are discarded, matching a crashed
-        worker.
-        """
-        saved = METRICS.as_dict()
-        METRICS.reset()
-        try:
-            result = _execute(key, self.profile)
-            snapshot = METRICS.as_dict()
-        finally:
-            METRICS.reset()
-            METRICS.merge(saved)
-        return result, snapshot
-
     @staticmethod
     def _failed(key: RunKey, attempts: int, worker: str,
                 exc: BaseException) -> _Exec:
@@ -318,7 +304,7 @@ class ExperimentRunner:
         """
         trace_start = TRACER.begin() if TRACER.enabled else 0.0
         try:
-            result, snapshot = self._run_isolated(key)
+            result = _execute(key, self.profile)
         except Exception as exc:  # noqa: BLE001 - recorded, reported
             return self._failed(key, attempts, worker, exc)
         if TRACER.enabled:
@@ -327,17 +313,17 @@ class ExperimentRunner:
                             instances=key.instances, dataset=key.dataset,
                             mode=key.mode.value,
                             pcm_write_lines=result.pcm_write_lines)
-        return _Exec(result=result, snapshot=snapshot, attempts=attempts)
+        return _Exec(result=result, attempts=attempts)
 
     def _pool_attempts(self, fresh: List[RunKey], max_workers: Optional[int],
                        timeout: Optional[float],
-                       on_success: Callable[[RunKey, MeasurementResult, Dict],
+                       on_success: Callable[[RunKey, MeasurementResult],
                                             None]) -> Dict[RunKey, _Exec]:
         """Per-future pool execution with timeouts and pool rebuilds.
         Raises only for pool *creation* problems (the caller degrades
         to serial); everything after that is handled per key.
         ``on_success`` fires as completions land (checkpoint append),
-        not in input order — metric merging stays with the caller.
+        not in input order.
         """
         import concurrent.futures as cf
         from concurrent.futures.process import BrokenProcessPool
@@ -398,7 +384,7 @@ class ExperimentRunner:
                                               "serial-fallback")
                 if record.result is not None:
                     METRICS.inc("runner.pool_degraded")
-                    on_success(key, record.result, record.snapshot)
+                    on_success(key, record.result)
                 done[key] = record
             rebuild()
 
@@ -411,7 +397,7 @@ class ExperimentRunner:
                 # a pool collapse is attributed to — deterministically.
                 key = next(k for k in fresh if k not in done)
                 try:
-                    result, snapshot = futures[key].result(timeout=timeout)
+                    result = futures[key].result(timeout=timeout)
                 except cf.TimeoutError:
                     METRICS.inc("runner.timeouts")
                     lost(key, TimeoutError(
@@ -422,9 +408,8 @@ class ExperimentRunner:
                     done[key] = self._failed(key, attempts[key], "pool",
                                              exc)
                 else:
-                    done[key] = _Exec(result=result, snapshot=snapshot,
-                                      attempts=attempts[key])
-                    on_success(key, result, snapshot)
+                    done[key] = _Exec(result=result, attempts=attempts[key])
+                    on_success(key, result)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         return done
@@ -442,15 +427,12 @@ class ExperimentRunner:
         when ``max_workers=1``, the pool cannot start, or there is at
         most one fresh key).  A run that raises is recorded on its
         first attempt; only a worker crash or a ``timeout`` is retried
-        (see the module docstring).  Worker-side metric snapshots merge
-        in input order, so the registry ends up identical run-to-run
-        regardless of pool scheduling.  Cached
-        keys are answered from the memoisation cache; duplicates
-        execute once.
+        (see the module docstring).  Cached keys are answered from the
+        memoisation cache; duplicates execute once.
 
         ``checkpoint`` names a JSONL file appended to after every
         completion; with ``resume=True`` keys already in it are
-        replayed (result and metrics) instead of re-executed.
+        replayed instead of re-executed.
         ``timeout`` applies to pool execution only — a serial run
         cannot be preempted.
 
@@ -465,7 +447,7 @@ class ExperimentRunner:
             raise ValueError(f"timeout must be positive, got {timeout}")
         order = list(keys)
         ckpt = None
-        restored: Dict[RunKey, Tuple[MeasurementResult, Dict]] = {}
+        restored: Dict[RunKey, MeasurementResult] = {}
         if checkpoint:
             from repro.harness.checkpoint import SweepCheckpoint
             ckpt = SweepCheckpoint(checkpoint)
@@ -477,10 +459,9 @@ class ExperimentRunner:
         fresh = [key for key in dict.fromkeys(order)
                  if key not in self._cache and key not in restored]
 
-        def on_success(key: RunKey, result: MeasurementResult,
-                       snapshot: Dict) -> None:
+        def on_success(key: RunKey, result: MeasurementResult) -> None:
             if ckpt is not None:
-                ckpt.append(key, result, snapshot)
+                ckpt.append(key, result)
 
         executed: Dict[RunKey, _Exec] = {}
         serial = max_workers == 1 or len(fresh) <= 1
@@ -495,10 +476,10 @@ class ExperimentRunner:
             for key in fresh:
                 record = self._serial_attempt(key)
                 if record.result is not None:
-                    on_success(key, record.result, record.snapshot)
+                    on_success(key, record.result)
                 executed[key] = record
 
-        # ---- assemble in input order; merge metrics the same way.
+        # ---- assemble in input order.
         # Only this loop adds to the cache, and every key it adds is in
         # ``primary`` first, so a cache hit here was cached on entry.
         primary: Dict[RunKey, RunOutcome] = {}
@@ -517,8 +498,7 @@ class ExperimentRunner:
                 outcomes.append(replace(known, cached=True))
                 continue
             if key in restored:
-                result, snapshot = restored[key]
-                METRICS.merge(snapshot)
+                result = restored[key]
                 METRICS.inc("runner.checkpoint.restored")
                 self._cache[key] = result
                 outcome = RunOutcome(key=key, result=result,
@@ -527,7 +507,6 @@ class ExperimentRunner:
                 record = executed[key]
                 METRICS.inc("runner.cache.misses")
                 if record.result is not None:
-                    METRICS.merge(record.snapshot)
                     METRICS.inc("runner.executions")
                     METRICS.observe("runner.run_seconds",
                                     record.result.host_seconds)

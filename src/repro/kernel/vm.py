@@ -51,8 +51,8 @@ class Kernel:
         self._next_pid = 1
         #: Policies that need the per-round placement safepoint.
         self._tick_policies: List[PlacementPolicy] = []
-        # Syscall/fault counters, published to the metrics registry by
-        # the platform at the end of a run.
+        # Syscall/fault counters, copied into the run's result by the
+        # platform at the end of a run.
         self.mmap_calls = 0
         self.munmap_calls = 0
         self.retag_calls = 0

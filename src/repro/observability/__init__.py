@@ -4,10 +4,10 @@ The paper's methodology is measurement-first — ``pcm-memory`` counters,
 per-socket write rates, GC pause breakdowns (Sections III-B, V) — and
 this package is the reproduction's equivalent of that tooling:
 
-* :mod:`repro.observability.metrics` — a process-wide registry of
-  named counters, gauges, and histograms with hierarchical dotted
-  names (``machine.socket0.llc.hits``, ``kernel.page_faults``,
-  ``runner.cache.hits``).  Cheap enough to leave always-on.
+* :mod:`repro.observability.metrics` — registries of named counters
+  and histograms with hierarchical dotted names
+  (``machine.socket0.llc.hits``, ``runner.cache.hits``); the
+  process-wide one holds host events.  Cheap enough to leave always-on.
 * :mod:`repro.observability.trace` — an event tracer emitting
   timestamped spans and events (GC phases, mbind calls, monitor
   samples, experiment runs) into a bounded ring buffer with JSON-lines
@@ -21,7 +21,8 @@ this package is the reproduction's equivalent of that tooling:
   trace-event, folded-stacks, and ASCII-table exporters (the
   ``repro profile`` verb).  Off by default, like the tracer.
 * :mod:`repro.observability.report` — machine-readable run reports
-  (the ``repro run --json`` payload).
+  (the ``repro run --json`` payload), and the dotted names of a
+  result's simulated counters.
 """
 
 from repro.observability.log import enable_console, get_logger, narrate
@@ -34,7 +35,7 @@ from repro.observability.profile import (
     to_chrome_trace,
     to_folded,
 )
-from repro.observability.report import run_report, sweep_report
+from repro.observability.report import result_metrics, run_report, sweep_report
 from repro.observability.trace import TRACER, Tracer
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "get_logger",
     "narrate",
     "parse_folded",
+    "result_metrics",
     "run_report",
     "sanitize",
     "sweep_report",

@@ -1,15 +1,22 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Metrics registries: counters and histograms with dotted names.
 
 Metric names are hierarchical dotted paths whose segments act as
-labels — ``machine.socket0.llc.hits``, ``kernel.page_faults``,
-``gc.kgw.nursery_survivors``, ``runner.cache.hits``.  The registry is
-a plain dict keyed by full name, so recording costs one dict lookup
-plus an integer add: cheap enough to stay always-on.
+labels — ``machine.socket0.llc.hits``, ``gc.kgw.nursery_survivors``,
+``runner.cache.hits``.  The registry is a plain dict keyed by full
+name, so recording costs one dict lookup plus an integer add: cheap
+enough to stay always-on.
 
-The module-level :data:`METRICS` singleton accumulates over the whole
-process (a ``repro reproduce all`` pass sums every run), which is what
-the ``repro stats`` CLI verb renders.  Tests and the CLI can
-:meth:`~MetricsRegistry.reset` it or create private registries.
+The module-level :data:`METRICS` singleton holds host events only —
+``runner.*``, ``checkpoint.*``, ``faults.injected.*``,
+``sanitize.violations.*``, ``platform.teardown_errors``,
+``monitor.samples`` — each in the registry of the process that records
+it; a sweep does not merge pool workers' registries.  Simulated
+counters live on the run's
+:class:`~repro.core.platform.MeasurementResult`, and
+:func:`repro.observability.report.result_metrics` names them in a
+private registry for ``repro stats`` and ``repro run --json``.  Tests
+and the CLI can :meth:`~MetricsRegistry.reset` :data:`METRICS` or
+create private registries.
 """
 
 from __future__ import annotations
@@ -51,30 +58,8 @@ class Counter:
         return {"value": self.value}
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Union[int, float] = 0
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
-
-    def add(self, amount: Union[int, float]) -> None:
-        self.value += amount
-
-    def summary(self) -> Dict[str, Union[int, float]]:
-        return {"value": self.value}
-
-
 #: Log-scale bucket base for histogram percentiles (~10 % relative
-#: error).  Fixed for every histogram so bucket counts from different
-#: registries are directly addable — the property that makes sweep
-#: shard merges order-independent.
+#: error), the same for every histogram.
 _GAMMA = 1.2
 _LOG_GAMMA = math.log(_GAMMA)
 
@@ -108,10 +93,8 @@ class Histogram:
 
     Keeps O(1) exact state (count/sum/min/max) plus fixed log-scale
     bucket counts for percentile estimates (~10 % relative error).
-    Buckets are value-determined, so combining two histograms is a
-    plain bucket-wise addition — commutative and associative, which is
-    what keeps :meth:`MetricsRegistry.merge` deterministic however the
-    sweep shards arrive.
+    Buckets are value-determined, so the summary does not depend on
+    the order of the observations.
     """
 
     kind = "histogram"
@@ -153,10 +136,6 @@ class Histogram:
         """
         if not self.count:
             return 0.0
-        if not self.buckets:
-            # Merged from a pre-percentile snapshot that carried no
-            # buckets: the mean (clamped below) is the best estimate.
-            return min(max(self.mean, self.min or 0.0), self.max or 0.0)
         target = max(1, math.ceil(q * self.count))
         ordered = sorted(self.buckets.items(),
                          key=lambda item: _bucket_mid(item[0]))
@@ -185,7 +164,7 @@ class Histogram:
         }
 
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -216,9 +195,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
@@ -237,9 +213,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def inc(self, name: str, amount: Union[int, float] = 1) -> None:
         self.counter(name).inc(amount)
-
-    def set(self, name: str, value: Union[int, float]) -> None:
-        self.gauge(name).set(value)
 
     def observe(self, name: str, value: Union[int, float]) -> None:
         self.histogram(name).observe(value)
@@ -265,10 +238,15 @@ class MetricsRegistry:
             for name, metric in self.items(prefix)
         }
 
-    def render_table(self, prefix: str = "", title: str = "") -> str:
-        """Render the registry as an aligned ASCII table."""
+    def render_table(self, prefix: str = "", title: str = "",
+                     exclude: Iterable[str] = ()) -> str:
+        """Render the registry, less the names in ``exclude``, as an
+        aligned ASCII table."""
+        skip = set(exclude)
         rows: List[Tuple[str, str, str]] = []
         for name, metric in self.items(prefix):
+            if name in skip:
+                continue
             if isinstance(metric, Histogram):
                 value = (f"n={metric.count} mean={metric.mean:.6g} "
                          f"min={metric.min or 0:.6g} "
@@ -289,42 +267,6 @@ class MetricsRegistry:
         for row in rows:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
-
-    def merge(self, snapshot: Dict[str, Dict[str, float]]) -> None:
-        """Fold an :meth:`as_dict` snapshot from another registry in.
-
-        Used to aggregate metrics recorded in worker processes back
-        into the parent's registry after a parallel experiment sweep:
-        counters add, gauges take the snapshot's value (last write
-        wins, matching :meth:`Gauge.set`), histograms combine their
-        count/sum/min/max summaries.  Unknown kinds raise — silently
-        dropping a worker's metrics would make parallel and serial
-        sweeps disagree.
-        """
-        for name, summary in snapshot.items():
-            kind = summary.get("kind")
-            if kind == "counter":
-                self.counter(name).inc(summary["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(summary["value"])
-            elif kind == "histogram":
-                if not summary["count"]:
-                    continue
-                histogram = self.histogram(name)
-                histogram.count += int(summary["count"])
-                histogram.total += summary["sum"]
-                if histogram.min is None or summary["min"] < histogram.min:
-                    histogram.min = summary["min"]
-                if histogram.max is None or summary["max"] > histogram.max:
-                    histogram.max = summary["max"]
-                # Bucket-wise addition is commutative, so percentile
-                # estimates do not depend on shard arrival order.
-                for key, count in summary.get("buckets", {}).items():
-                    histogram.buckets[key] = (histogram.buckets.get(key, 0)
-                                              + int(count))
-            else:
-                raise ValueError(
-                    f"cannot merge metric {name!r} of kind {kind!r}")
 
     def reset(self) -> None:
         """Drop every metric (tests and CLI entry points)."""

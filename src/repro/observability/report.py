@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.observability.metrics import MetricsRegistry, sanitize
+
 #: Bump when the report layout changes incompatibly.
 REPORT_SCHEMA = "repro.run_report/v1"
 
@@ -40,6 +42,49 @@ def _stats_dict(stats) -> Dict[str, object]:
     }
 
 
+def result_metrics(result) -> MetricsRegistry:
+    """A private registry naming one result's simulated counters.
+
+    ``machine.socketN.llc.*`` and ``machine.socketN.mem.*`` (measured
+    iteration), ``machine.qpi.crossings``, ``kernel.*`` (the result's
+    ``kernel_counters`` and its measured-iteration migration counts)
+    and ``gc.<collector>.*`` summed over instances, with one
+    ``pause_cycles`` observation per pause.  ``repro stats`` renders
+    it and ``repro run --json`` reports it.
+    """
+    registry = MetricsRegistry()
+    for llc in result.llc_stats:
+        prefix = f"machine.socket{llc['socket']}.llc"
+        registry.inc(f"{prefix}.hits", llc["hits"])
+        registry.inc(f"{prefix}.misses", llc["misses"])
+        registry.inc(f"{prefix}.dirty_evictions", llc["dirty_evictions"])
+    for node in result.node_counters:
+        prefix = f"machine.socket{node['node']}.mem"
+        registry.inc(f"{prefix}.read_lines", node["read_lines"])
+        registry.inc(f"{prefix}.write_lines", node["write_lines"])
+    registry.inc("machine.qpi.crossings", result.qpi_crossings)
+    for name, value in result.kernel_counters.items():
+        registry.inc(f"kernel.{name}", value)
+    registry.inc("kernel.pages_migrated", result.pages_migrated)
+    registry.inc("kernel.migration_writes", result.migration_writes)
+    registry.inc("kernel.migration_cycles", result.migration_cycles)
+    gc_prefix = f"gc.{sanitize(result.collector)}"
+    for stats in result.instance_stats:
+        registry.inc(f"{gc_prefix}.minor_collections", stats.minor_gcs)
+        registry.inc(f"{gc_prefix}.full_collections", stats.full_gcs)
+        registry.inc(f"{gc_prefix}.observer_collections",
+                     stats.observer_collections)
+        registry.inc(f"{gc_prefix}.nursery_survivors",
+                     stats.objects_promoted)
+        registry.inc(f"{gc_prefix}.large_migrations",
+                     stats.large_migrations)
+        registry.inc(f"{gc_prefix}.bytes_allocated", stats.bytes_allocated)
+        registry.inc(f"{gc_prefix}.bytes_copied", stats.bytes_copied)
+        for pause in stats.pauses:
+            registry.observe(f"{gc_prefix}.pause_cycles", pause)
+    return registry
+
+
 def run_report(result, gc_spans: Optional[List[Dict]] = None,
                metrics: Optional[Dict[str, Dict]] = None,
                trace_dropped: Optional[int] = None) -> Dict:
@@ -53,7 +98,8 @@ def run_report(result, gc_spans: Optional[List[Dict]] = None,
         Optional tracer spans (``TRACER.spans("gc.")``) recorded while
         the measurement ran; exported under ``gc.phases``.
     metrics:
-        Optional :meth:`MetricsRegistry.as_dict` snapshot.
+        Optional :meth:`MetricsRegistry.as_dict` snapshot (``repro run
+        --json`` passes :func:`result_metrics`'s).
     trace_dropped:
         Records the tracer dropped (ring-buffer overflow) while this
         measurement ran; surfaced under ``trace.dropped`` so consumers
@@ -144,7 +190,7 @@ def _outcome_dict(outcome) -> Dict:
     return entry
 
 
-def sweep_report(report, metrics: Optional[Dict[str, Dict]] = None) -> Dict:
+def sweep_report(report) -> Dict:
     """Build the JSON payload for one crash-tolerant sweep.
 
     ``report`` is a :class:`~repro.harness.experiment.SweepReport`; the
@@ -163,6 +209,4 @@ def sweep_report(report, metrics: Optional[Dict[str, Dict]] = None) -> Dict:
         "failures": [entry for entry in outcomes
                      if entry["status"] == "failed"],
     }
-    if metrics is not None:
-        payload["metrics"] = metrics
     return payload

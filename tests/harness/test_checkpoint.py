@@ -54,6 +54,20 @@ class TestResultRoundTrip:
         clone = result_from_dict(result_to_dict(_result()))
         assert clone.instance_stats[0].pauses == [10, 25, 40]
 
+    def test_kernel_counters_survive(self):
+        original = _result()
+        original.kernel_counters = {"mmap_calls": 9, "page_faults": 3,
+                                    "scheduler.dispatches": 188}
+        clone = result_from_dict(
+            json.loads(json.dumps(result_to_dict(original))))
+        assert clone == original
+
+    def test_record_without_kernel_counters_loads_them_empty(self):
+        # Results serialised before the field existed.
+        data = result_to_dict(_result())
+        del data["kernel_counters"]
+        assert result_from_dict(data).kernel_counters == {}
+
 
 class TestCanonicalResult:
     def test_result_strips_host_fields(self):
@@ -61,18 +75,24 @@ class TestCanonicalResult:
                   "profile": {"x": 1}}
         assert canonical_result(result) == {"pcm_write_lines": 5}
 
+    def test_kernel_counters_stay_out_of_the_digested_form(self):
+        # The golden digests pin the canonical form as it was before
+        # the field joined the result.
+        payload = result_to_dict(_result())
+        assert "kernel_counters" in payload
+        assert "kernel_counters" not in canonical_result(payload)
+
 
 class TestCheckpointStore:
     def test_append_then_load(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         store = SweepCheckpoint(path)
-        store.append(_key(), _result(), {"m": {"kind": "counter",
-                                              "value": 3}})
+        store.append(_key(), _result())
         assert store.appended == 1
-        restored = SweepCheckpoint(path).load()
-        result, metrics = restored[_key()]
-        assert result == _result()
-        assert metrics == {"m": {"kind": "counter", "value": 3}}
+        with open(path, encoding="utf-8") as handle:
+            assert set(json.loads(handle.read())) == {"schema", "key",
+                                                      "result"}
+        assert SweepCheckpoint(path).load() == {_key(): _result()}
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert SweepCheckpoint(str(tmp_path / "absent.jsonl")).load() == {}
@@ -100,7 +120,7 @@ class TestCheckpointStore:
         newer = _result()
         newer.pcm_write_lines = 9999
         store.append(_key(), newer)
-        result, _ = SweepCheckpoint(path).load()[_key()]
+        result = SweepCheckpoint(path).load()[_key()]
         assert result.pcm_write_lines == 9999
 
     def test_truncate_discards_history(self, tmp_path):

@@ -1,12 +1,14 @@
 """Crash-tolerant sweeps: infrastructure retries, timeouts, degradation,
 checkpoints."""
 
+import json
+
 import pytest
 
 from repro.core.platform import EmulationMode
 from repro.faults import FAULTS, FaultPlan
 from repro.faults.worker import ENV_VAR
-from repro.harness.checkpoint import SweepCheckpoint
+from repro.harness.checkpoint import SweepCheckpoint, result_to_dict
 from repro.harness.experiment import (
     POOL_ATTEMPTS,
     ExperimentRunner,
@@ -41,15 +43,15 @@ def _values(results):
              r.per_tag_pcm_writes, r.elapsed_seconds) for r in results]
 
 
-def _comparable_metrics():
-    """The registry minus wall-clock noise and harness bookkeeping.
-
-    ``runner.*`` intentionally differs between a fresh and a resumed
-    sweep (restored keys count as checkpoint restores, not executions);
-    ``seconds`` histograms carry host timing noise.
-    """
-    return {name: summary for name, summary in METRICS.as_dict().items()
-            if "seconds" not in name and not name.startswith("runner.")}
+def _records(report):
+    """Every outcome's whole result but its host timing and profile:
+    each simulated counter, ``kernel_counters`` included."""
+    records = []
+    for outcome in report.outcomes:
+        record = result_to_dict(outcome.result)
+        del record["host_seconds"], record["profile"]
+        records.append(record)
+    return records
 
 
 class TestWorkerCrashRecovery:
@@ -253,13 +255,12 @@ class TestCheckpointResume:
     def test_resume_executes_only_remaining_keys(self, tmp_path):
         """Kill-after-K simulation: the first sweep checkpoints two keys
         then 'dies'; the resumed sweep executes only the other two and
-        the merged results and metrics are bit-identical to one
-        uninterrupted serial sweep."""
+        every result is bit-identical to one uninterrupted serial
+        sweep's."""
         keys = EIGHT[:4]
         path = str(tmp_path / "sweep.ckpt")
 
         reference = ExperimentRunner().sweep(keys, max_workers=1)
-        reference_metrics = _comparable_metrics()
         METRICS.reset()
 
         # "Killed after K=2": only the first half ever runs.
@@ -275,23 +276,48 @@ class TestCheckpointResume:
         assert [o.from_checkpoint for o in report.outcomes] == [
             True, True, False, False]
         assert _values(report.results) == _values(reference.results)
-        assert _comparable_metrics() == reference_metrics
+        assert _records(report) == _records(reference)
         assert METRICS.value("runner.checkpoint.restored") == 2
 
     def test_parallel_resume_matches_serial_reference(self, tmp_path):
         keys = EIGHT[:4]
         path = str(tmp_path / "sweep.ckpt")
         reference = ExperimentRunner().sweep(keys, max_workers=1)
-        reference_metrics = _comparable_metrics()
-        METRICS.reset()
 
         with_watchdog(lambda: ExperimentRunner().sweep(
             keys[:2], max_workers=2, checkpoint=path))
-        METRICS.reset()
         report = with_watchdog(lambda: ExperimentRunner().sweep(
             keys, max_workers=2, checkpoint=path, resume=True))
         assert _values(report.results) == _values(reference.results)
-        assert _comparable_metrics() == reference_metrics
+        assert _records(report) == _records(reference)
+
+    def test_resume_from_records_that_carry_a_metrics_snapshot(
+            self, tmp_path):
+        """Records written while sweeps still merged worker registries
+        carry a ``metrics`` snapshot too; resuming ignores it and
+        replays the results."""
+        keys = EIGHT[:3]
+        path = tmp_path / "sweep.ckpt"
+        reference = ExperimentRunner().sweep(keys, max_workers=1)
+        ExperimentRunner().sweep(keys[:2], max_workers=1,
+                                 checkpoint=str(path))
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        for record in records:
+            record["metrics"] = {"kernel.mmap_calls": {"kind": "counter",
+                                                       "value": 9}}
+        path.write_text("".join(json.dumps(record) + "\n"
+                                for record in records))
+        METRICS.reset()
+
+        resumed = ExperimentRunner()
+        report = resumed.sweep(keys, max_workers=1, checkpoint=str(path),
+                               resume=True)
+        assert [o.from_checkpoint for o in report.outcomes] == [
+            True, True, False]
+        assert resumed.executions == 1
+        assert _records(report) == _records(reference)
+        assert METRICS.value("kernel.mmap_calls") == 0
 
     def test_without_resume_the_checkpoint_is_truncated(self, tmp_path):
         path = str(tmp_path / "sweep.ckpt")

@@ -1,4 +1,4 @@
-"""Parallel experiment fan-out: determinism, caching, metric merge.
+"""Parallel experiment fan-out: determinism and caching.
 
 ``TestRunMany`` drives ``ExperimentRunner.sweep`` over many keys and
 reads the results the strict way (``raise_first_failure``, then the
@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.platform import EmulationMode
 from repro.harness.experiment import ExperimentRunner, RunKey
-from repro.observability.metrics import METRICS, MetricsRegistry
+from repro.observability.metrics import METRICS
 
 from tests.pool_watchdog import with_watchdog
 
@@ -70,73 +70,6 @@ class TestRunMany:
         again = _sweep(runner, self.KEYS, max_workers=2)
         assert runner.executions == executions
         assert _values(again) == _values(_sweep(runner, self.KEYS))
-
-    def test_worker_metrics_merge_into_parent_registry(self):
-        with_watchdog(lambda: _sweep(
-            ExperimentRunner(),
-            [_key("fop", "PCM-Only"), _key("fop", "KG-N")], max_workers=2))
-        serial_snapshot = {
-            name: summary
-            for name, summary in METRICS.as_dict().items()
-            if "seconds" not in name}
-        METRICS.reset()
-        runner = ExperimentRunner()
-        runner.run(_key("fop", "PCM-Only").benchmark, "PCM-Only")
-        runner.run(_key("fop", "KG-N").benchmark, "KG-N")
-        reference = {
-            name: summary
-            for name, summary in METRICS.as_dict().items()
-            if "seconds" not in name}
-        assert serial_snapshot == reference
-
-
-class TestMetricsMerge:
-    def test_counters_add_and_gauges_take_latest(self):
-        source = MetricsRegistry()
-        source.inc("runs", 3)
-        source.set("occupancy", 7)
-        target = MetricsRegistry()
-        target.inc("runs", 2)
-        target.set("occupancy", 1)
-        target.merge(source.as_dict())
-        assert target.value("runs") == 5
-        assert target.value("occupancy") == 7
-
-    def test_histograms_combine_summaries(self):
-        source = MetricsRegistry()
-        for value in (1.0, 5.0):
-            source.observe("pause", value)
-        target = MetricsRegistry()
-        target.observe("pause", 3.0)
-        target.merge(source.as_dict())
-        histogram = target.get("pause")
-        assert histogram.count == 3
-        assert histogram.total == 9.0
-        assert histogram.min == 1.0
-        assert histogram.max == 5.0
-
-    def test_empty_histogram_snapshots_are_skipped(self):
-        source = MetricsRegistry()
-        source.histogram("pause")  # created but never observed
-        target = MetricsRegistry()
-        target.merge(source.as_dict())
-        metric = target.get("pause")
-        assert metric is None or metric.count == 0
-
-    def test_unknown_kind_raises(self):
-        target = MetricsRegistry()
-        with pytest.raises(ValueError):
-            target.merge({"weird": {"kind": "exotic", "value": 1}})
-
-    def test_merge_is_associative_over_disjoint_snapshots(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("left", 1)
-        b.inc("right", 2)
-        target = MetricsRegistry()
-        target.merge(a.as_dict())
-        target.merge(b.as_dict())
-        assert target.value("left") == 1
-        assert target.value("right") == 2
 
 
 class TestStableSeeding:

@@ -113,7 +113,7 @@ class TestSweepResume:
         reference = ExperimentRunner().sweep(KEYS, max_workers=1)
         assert reference.ok
         for printed, outcome in zip(outcomes, reference.outcomes):
-            result, _ = stored[outcome.key]
+            result = stored[outcome.key]
             assert _canonical(result) == _canonical(outcome.result), (
                 f"{outcome.key.collector}: resumed result diverged from "
                 f"an uninterrupted sweep")

@@ -11,10 +11,11 @@ KG-W digests are also the seed-0 entries of
 Comparing the access path with the per-line oracle cannot catch a drift
 in code they share (the workload model, the runtime, the random draws),
 so every case is compared against a checked-in digest instead, and the
-fop, xalan and pr cases run both on the default ``batched`` access path
-and under the ``perline`` oracle (:func:`per_line_oracle`).  Under the
-oracle, pr's batches of GraphChi temporaries are zeroed object by
-object, so its ``perline`` leg pins ``access_objects`` too.  The
+fop, xalan, pr and cc cases run both on the default ``batched`` access
+path and under the ``perline`` oracle (:func:`per_line_oracle`).  Under
+the oracle, the batches of GraphChi temporaries that pr and cc allocate
+with ``alloc_many`` are zeroed object by object, so their ``perline``
+legs pin ``access_objects`` too.  The
 PCM-Only configurations run every thread on the PCM socket, and
 ``migrate`` also moves pages at placement safepoints, covering the
 write-back and migration paths that KG-W on its own misses.  The
@@ -50,6 +51,7 @@ CASES = {
     "xalan/KG-W": ("xalan", "KG-W", EMU, "static", 1,
                    ("perline", "batched")),
     "pr/KG-W": ("pr", "KG-W", EMU, "static", 1, ("perline", "batched")),
+    "cc/KG-W": ("cc", "KG-W", EMU, "static", 1, ("perline", "batched")),
     "fop/KG-W": ("fop", "KG-W", EMU, "static", 1, ("perline", "batched")),
     "fop/PCM-Only": ("fop", "PCM-Only", EMU, "static", 1,
                      ("perline", "batched")),

@@ -7,7 +7,11 @@ import pytest
 
 from repro.core.platform import EmulationMode, MeasurementResult
 from repro.observability import log as obslog
-from repro.observability.report import REPORT_SCHEMA, run_report
+from repro.observability.report import (
+    REPORT_SCHEMA,
+    result_metrics,
+    run_report,
+)
 from repro.runtime.jvm import RuntimeStats
 
 
@@ -125,3 +129,30 @@ class TestRunReport:
         assert report["profile"]["schema"] == "repro.profile/v1"
         assert report["profile"]["attribution"]["run"]["pcm.writes"] == 100
         json.dumps(report)
+
+
+class TestResultMetrics:
+    def test_names_every_counter_of_the_result(self):
+        second = RuntimeStats(minor_gcs=2, full_gcs=1, pauses=[9])
+        result = _result(
+            instance_stats=[RuntimeStats(minor_gcs=3, pauses=[5, 7]),
+                            second],
+            kernel_counters={"mmap_calls": 9, "page_faults": 2,
+                             "scheduler.dispatches": 188},
+            pages_migrated=4, migration_writes=256)
+        registry = result_metrics(result)
+        values = {name: registry.value(name) for name in registry.names()
+                  if not name.endswith("pause_cycles")}
+        assert values["machine.socket0.llc.hits"] == 90
+        assert values["machine.socket0.llc.dirty_evictions"] == 2
+        assert values["machine.socket1.mem.write_lines"] == 100
+        assert values["machine.qpi.crossings"] == 13
+        assert values["kernel.mmap_calls"] == 9
+        assert values["kernel.scheduler.dispatches"] == 188
+        assert values["kernel.pages_migrated"] == 4
+        assert values["kernel.migration_writes"] == 256
+        # Summed over instances, under the sanitised collector name.
+        assert values["gc.kgw.minor_collections"] == 5
+        assert values["gc.kgw.full_collections"] == 1
+        pauses = registry.get("gc.kgw.pause_cycles")
+        assert (pauses.count, pauses.min, pauses.max) == (3, 5, 9)

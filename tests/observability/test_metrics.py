@@ -4,7 +4,6 @@ import pytest
 
 from repro.observability.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     sanitize,
@@ -41,13 +40,6 @@ class TestCounter:
         assert registry.get("no.such.metric") is None
 
 
-class TestGauge:
-    def test_set_overwrites(self, registry):
-        registry.set("runtime.space.nursery.bytes_used", 100)
-        registry.set("runtime.space.nursery.bytes_used", 42)
-        assert registry.value("runtime.space.nursery.bytes_used") == 42
-
-
 class TestHistogram:
     def test_summary_statistics(self, registry):
         for value in (10, 20, 30):
@@ -67,9 +59,10 @@ class TestTypeSafety:
     def test_name_bound_to_one_type(self, registry):
         registry.inc("a.counter")
         with pytest.raises(TypeError):
-            registry.set("a.counter", 1)
-        with pytest.raises(TypeError):
             registry.observe("a.counter", 1)
+        registry.observe("a.histogram", 1)
+        with pytest.raises(TypeError):
+            registry.inc("a.histogram")
 
 
 class TestIntrospection:
@@ -84,11 +77,9 @@ class TestIntrospection:
 
     def test_as_dict_carries_kind(self, registry):
         registry.inc("c")
-        registry.set("g", 1.5)
         registry.observe("h", 2)
         snapshot = registry.as_dict()
         assert snapshot["c"] == {"kind": "counter", "value": 1}
-        assert snapshot["g"] == {"kind": "gauge", "value": 1.5}
         assert snapshot["h"]["kind"] == "histogram"
 
     def test_render_table_lists_every_metric(self, registry):
@@ -101,6 +92,13 @@ class TestIntrospection:
 
     def test_render_empty_registry(self, registry):
         assert "no metrics" in registry.render_table()
+
+    def test_render_table_leaves_out_excluded_names(self, registry):
+        registry.inc("kernel.page_faults", 3)
+        registry.inc("monitor.samples", 23)
+        table = registry.render_table(exclude=["kernel.page_faults"])
+        assert "monitor.samples" in table
+        assert "kernel.page_faults" not in table
 
     def test_reset(self, registry):
         registry.inc("x")

@@ -64,56 +64,3 @@ class TestQuantiles:
         assert histogram.quantile(0.01) == -100
         assert histogram.quantile(0.99) <= 100
         assert histogram.quantile(0.5) <= histogram.quantile(0.9)
-
-
-class TestMergeDeterminism:
-    def shards(self):
-        """Three worker registries with very different distributions."""
-        specs = ([1, 2, 3, 4, 5], [100] * 50, [7, 7000, 70])
-        registries = []
-        for values in specs:
-            registry = MetricsRegistry()
-            for value in values:
-                registry.observe("gc.pause", value)
-            registries.append(registry)
-        return registries
-
-    def merged(self, order):
-        parent = MetricsRegistry()
-        shards = self.shards()
-        for index in order:
-            parent.merge(shards[index].as_dict())
-        return parent.get("gc.pause")
-
-    def test_out_of_order_merge_identical(self):
-        baseline = self.merged([0, 1, 2]).summary()
-        for order in ([2, 1, 0], [1, 2, 0], [2, 0, 1]):
-            assert self.merged(order).summary() == baseline
-
-    def test_merged_equals_unsharded(self):
-        single = MetricsRegistry()
-        for values in ([1, 2, 3, 4, 5], [100] * 50, [7, 7000, 70]):
-            for value in values:
-                single.observe("gc.pause", value)
-        assert self.merged([2, 0, 1]).summary() == \
-            single.get("gc.pause").summary()
-
-    def test_merge_carries_buckets_in_snapshot(self):
-        registry = MetricsRegistry()
-        registry.observe("h", 12)
-        snapshot = registry.as_dict()
-        assert snapshot["h"]["buckets"]
-        fresh = MetricsRegistry()
-        fresh.merge(snapshot)
-        assert fresh.get("h").quantile(0.5) == 12
-
-    def test_legacy_snapshot_without_buckets_still_merges(self):
-        """Pre-percentile checkpoints lack the buckets key; count/sum/
-        min/max must still fold in (quantiles degrade, not crash)."""
-        parent = MetricsRegistry()
-        parent.merge({"h": {"kind": "histogram", "count": 2, "sum": 30.0,
-                            "min": 10.0, "max": 20.0}})
-        histogram = parent.get("h")
-        assert histogram.count == 2
-        assert histogram.quantile(0.5) in (10.0, 20.0) or \
-            10.0 <= histogram.quantile(0.5) <= 20.0

@@ -122,6 +122,15 @@ class TestRunJson:
         assert report["wall_time"]["host_seconds"] > 0
         assert report["wall_time"]["emulated_seconds"] > 0
 
+    def test_json_metrics_are_the_results_counters(self, capsys):
+        assert main(["run", "-b", "fop", "-c", "KG-N", "--json"]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["kernel.mmap_calls"]["value"] > 0
+        assert metrics["gc.kgn.minor_collections"]["value"] > 0
+        assert metrics["machine.socket0.llc.hits"]["value"] > 0
+        # Host events are not simulated counters.
+        assert "monitor.samples" not in metrics
+
     def test_json_run_leaves_tracer_disabled(self, capsys):
         from repro.observability.trace import TRACER
 
@@ -219,6 +228,16 @@ class TestStats:
         assert "machine.socket0.llc.hits" in out
         assert "kernel.mmap_calls" in out
         assert "gc.kgn.minor_collections" in out
+
+
+class TestStatsHostEvents:
+    def test_host_events_follow_the_counters_once(self, capsys):
+        assert main(["stats", "-b", "fop", "-c", "KG-N"]) == 0
+        out = capsys.readouterr().out
+        counters, host = out.split("Host events:")
+        assert "monitor.samples" in host
+        assert "kernel.page_faults" in counters
+        assert out.count("kernel.page_faults") == 1
 
 
 class TestSanitize:

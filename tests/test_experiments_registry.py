@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+from repro.config import DEFAULT_SCALE_CONFIG, ScaleConfig
 from repro.experiments import EXPERIMENTS, ExperimentOutput, reproduce
 from repro.harness.experiment import ExperimentRunner, RunKey
 from repro.observability.metrics import METRICS
@@ -55,7 +56,7 @@ class TestRunPlan:
         monkeypatch.setattr("repro.harness.experiment._execute", refuse)
 
     @pytest.mark.parametrize("names,unique", [
-        (PAPER_ARTIFACTS, 168), (EXPERIMENTS, 238)],
+        (PAPER_ARTIFACTS, 168), (EXPERIMENTS, 229)],
         ids=["paper", "all"])
     def test_union_of_keys_renders_from_placeholders(self, names, unique):
         runner = ExperimentRunner()
@@ -75,6 +76,18 @@ class TestRunPlan:
     def test_every_measuring_experiment_declares_keys(self):
         for name in EXPERIMENTS:
             assert bool(_module(name).keys()) == (name != "table1"), name
+
+    def test_no_plan_key_names_the_default_llc_size(self):
+        # An LLC override equal to the scale's own LLC builds the
+        # default machine, so the key must be the default key: LLC
+        # sensitivity's 20MB-equiv point reuses Figure 7's runs.
+        for name in EXPERIMENTS:
+            for key in _module(name).keys():
+                assert key.llc_size != ScaleConfig(scale=key.scale).llc_size, (
+                    name, key)
+        assert (RunKey("xalan", "KG-N",
+                       llc_size=DEFAULT_SCALE_CONFIG.llc_size)
+                == RunKey("xalan", "KG-N"))
 
     def test_observer_default_is_figure4_run(self):
         assert (set(_module("observer_sweep").keys())
