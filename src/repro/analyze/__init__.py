@@ -2,7 +2,7 @@
 
 One AST parse per file, a shared walk, and five project-specific
 checkers (layering, determinism, counter-discipline, hook-coverage,
-race-pattern) with a committed, justified baseline.  See
+span-balance) with a committed, justified baseline.  See
 ``DESIGN.md`` ("Static analysis") for the policy and ``repro lint
 --explain`` for the rule table.
 """
@@ -10,7 +10,7 @@ race-pattern) with a committed, justified baseline.  See
 from repro.analyze.baseline import Baseline, BaselineError, TODO_REASON
 from repro.analyze.checkers import (ALL_CHECKERS, filter_findings,
                                     make_checkers, rule_table)
-from repro.analyze.config import LintConfig, load_config
+from repro.analyze.config import LintConfig
 from repro.analyze.engine import (AnalysisReport, Analyzer, Checker,
                                   Finding, PARSE_ERROR_RULE,
                                   module_name_for)
@@ -27,7 +27,6 @@ __all__ = [
     "PARSE_ERROR_RULE",
     "TODO_REASON",
     "filter_findings",
-    "load_config",
     "make_checkers",
     "module_name_for",
     "rule_table",

@@ -16,7 +16,6 @@ from repro.analyze.checkers.counters import CounterDisciplineChecker
 from repro.analyze.checkers.determinism import DeterminismChecker
 from repro.analyze.checkers.hooks import HookCoverageChecker
 from repro.analyze.checkers.layering import LayeringChecker
-from repro.analyze.checkers.races import RacePatternChecker
 from repro.analyze.checkers.spans import SpanBalanceChecker
 
 ALL_CHECKERS: Tuple[Type[Checker], ...] = (
@@ -24,7 +23,6 @@ ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     DeterminismChecker,
     CounterDisciplineChecker,
     HookCoverageChecker,
-    RacePatternChecker,
     SpanBalanceChecker,
 )
 

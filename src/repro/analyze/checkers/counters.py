@@ -26,9 +26,9 @@ subscript write like ``self.wear[line] = ...``, no self-referencing
 reassignment).  A counter that is initialised but never incremented is
 a dead number that will ship as a silent zero in run reports.
 
-``C003`` — a ``counter-mutators``/``engine-functions`` allowlist entry
-whose module was scanned but whose function no longer exists: a stale
-exemption is a hole the next refactor can silently walk through.
+``C003`` — a ``counter-mutators`` allowlist entry whose module was
+scanned but whose function no longer exists: a stale exemption is a
+hole the next refactor can silently walk through.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class CounterDisciplineChecker(Checker):
                 "or a declared counter-mutator",
         "C002": "registered counter has no reachable increment site "
                 "anywhere in the project",
-        "C003": "counter-mutator/engine-function allowlist entry names "
-                "a function that no longer exists",
+        "C003": "counter-mutator allowlist entry names a function "
+                "that no longer exists",
     }
 
     def visit_AugAssign(self, node: ast.AugAssign,
@@ -92,7 +92,7 @@ class CounterDisciplineChecker(Checker):
                        ) -> Optional[List[Finding]]:
         findings: List[Finding] = []
         findings.extend(self._check_provenance(project))
-        findings.extend(self._check_allowlists(project))
+        findings.extend(self._check_allowlist(project))
         return findings or None
 
     def _check_provenance(self, project: ProjectContext) -> List[Finding]:
@@ -123,13 +123,9 @@ class CounterDisciplineChecker(Checker):
             ))
         return findings
 
-    def _check_allowlists(self, project: ProjectContext) -> List[Finding]:
+    def _check_allowlist(self, project: ProjectContext) -> List[Finding]:
         findings: List[Finding] = []
-        entries = [("counter-mutators", e)
-                   for e in project.config.counter_mutators]
-        entries += [("engine-functions", e)
-                    for e in project.config.engine_functions]
-        for listname, entry in entries:
+        for entry in project.config.counter_mutators:
             if "::" not in entry:
                 continue
             module_name, qualname = entry.split("::", 1)
@@ -140,7 +136,7 @@ class CounterDisciplineChecker(Checker):
                 continue
             findings.append(Finding(
                 rule="C003", path=symbols.display_path, line=1, col=1,
-                message=f"{listname} entry '{entry}' names a function "
+                message=f"counter-mutators entry '{entry}' names a function "
                         f"that does not exist in {module_name}; remove "
                         f"the stale exemption",
                 key=f"C003::{module_name}::{qualname}",

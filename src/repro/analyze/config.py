@@ -1,11 +1,4 @@
-"""Configuration for ``repro lint``: built-in policy + pyproject overrides.
-
-The built-in defaults below *are* the repo's policy — the committed
-``[tool.repro-lint]`` block in ``pyproject.toml`` mirrors them so
-contributors can see and extend the policy without reading this file.
-TOML parsing needs :mod:`tomllib` (Python 3.11+); on older interpreters
-the built-in defaults are used as-is, which keeps the linter runnable
-everywhere the emulator runs.
+"""The policy ``repro lint`` enforces, kept here and nowhere else.
 
 Policy pieces:
 
@@ -21,27 +14,21 @@ Policy pieces:
   class must come from a declared mutator (``C001``).
 * **counter_mutators** — ``module::Qual.name`` functions allowed to
   mutate foreign counters (the access path's fused loops).
-* **engine_functions** — functions allowed to reach into another
-  object's private attributes (``RC01``'s ownership protocol).
 * **hook_sites** — state-mutating operations that must carry their
   FAULTS / SANITIZE hook pair (``H001``).
-* **test_paths / test_select** — extra trees the CLI lints with a
-  restricted rule set (D-rules: unseeded RNG and wall-clock use in
-  tests is a flakiness source).
-* **exclude** — path prefixes dropped from the *test_paths* sweep
-  (the planted lint fixtures are deliberate violations).
+
+Those six are the :class:`LintConfig` fields checkers read and tests
+substitute.  What the CLI scans is fixed by module constants:
+:data:`PATHS` and :data:`BASELINE` (overridden by ``repro lint``'s
+positional ``PATH`` arguments and ``--baseline``), and the extra
+:data:`TEST_PATHS` linted with the restricted :data:`TEST_SELECT` rule
+set, minus :data:`EXCLUDE`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - 3.9/3.10 fallback
-    tomllib = None  # type: ignore[assignment]
 
 
 #: Import-DAG ranks (longest prefix wins).  machine < kernel < runtime
@@ -118,13 +105,6 @@ DEFAULT_COUNTER_MUTATORS: Tuple[str, ...] = (
     "repro.kernel.process::SimThread.access",
 )
 
-#: Functions allowed to touch another object's private attributes —
-#: the access path's ownership protocol (one CorePath owns the
-#: cache dicts it manipulates for the duration of a run).
-DEFAULT_OWNERSHIP_FUNCTIONS: Tuple[str, ...] = (
-    "repro.machine.numa::CorePath.access_run",
-)
-
 #: State-mutating operations that must carry their hook pair.
 #: Each entry: (module, qualname, required hook kinds).
 DEFAULT_HOOK_SITES: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
@@ -149,26 +129,28 @@ DEFAULT_HOOK_SITES: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
      ("sanitize", "trace")),
 )
 
-#: Extra trees linted with the restricted ``test_select`` rule set.
-DEFAULT_TEST_PATHS: Tuple[str, ...] = ("tests", "benchmarks")
+#: Trees ``repro lint`` scans when given no ``PATH`` argument.
+PATHS: Tuple[str, ...] = ("src/repro",)
+
+#: Baseline of justified suppressions, unless ``--baseline`` names one.
+BASELINE = "lint-baseline.json"
+
+#: Extra trees a default-path run lints with the ``TEST_SELECT`` rules.
+TEST_PATHS: Tuple[str, ...] = ("tests", "benchmarks")
 
 #: Rules applied to the test trees (determinism family only — layering
 #: and counter discipline do not apply to test code).
-DEFAULT_TEST_SELECT: Tuple[str, ...] = ("D001", "D002", "D003", "D004")
+TEST_SELECT: Tuple[str, ...] = ("D001", "D002", "D003", "D004")
 
 #: Path prefixes excluded from the test-tree sweep: the lint fixtures
 #: are planted violations and must not be re-reported.
-DEFAULT_EXCLUDE: Tuple[str, ...] = ("tests/analyze/fixtures",)
+EXCLUDE: Tuple[str, ...] = ("tests/analyze/fixtures",)
 
 
 @dataclass
 class LintConfig:
     """Effective policy the engine and checkers consult."""
 
-    paths: List[str] = field(default_factory=lambda: ["src/repro"])
-    baseline: str = "lint-baseline.json"
-    select: List[str] = field(default_factory=list)
-    ignore: List[str] = field(default_factory=list)
     layers: Dict[str, int] = field(
         default_factory=lambda: dict(DEFAULT_LAYERS))
     crosscutting: List[str] = field(
@@ -179,17 +161,9 @@ class LintConfig:
                                  for k, v in DEFAULT_COUNTERS.items()})
     counter_mutators: List[str] = field(
         default_factory=lambda: list(DEFAULT_COUNTER_MUTATORS))
-    engine_functions: List[str] = field(
-        default_factory=lambda: list(DEFAULT_OWNERSHIP_FUNCTIONS))
     hook_sites: List[Tuple[str, str, Tuple[str, ...]]] = field(
         default_factory=lambda: [(m, q, tuple(h))
                                  for m, q, h in DEFAULT_HOOK_SITES])
-    test_paths: List[str] = field(
-        default_factory=lambda: list(DEFAULT_TEST_PATHS))
-    test_select: List[str] = field(
-        default_factory=lambda: list(DEFAULT_TEST_SELECT))
-    exclude: List[str] = field(
-        default_factory=lambda: list(DEFAULT_EXCLUDE))
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -217,73 +191,3 @@ class LintConfig:
 
     def is_counter_mutator(self, module: str, qualname: str) -> bool:
         return f"{module}::{qualname}" in self.counter_mutators
-
-    def is_engine_function(self, module: str, qualname: str) -> bool:
-        return f"{module}::{qualname}" in self.engine_functions
-
-
-def load_config(pyproject: Optional[Path] = None) -> LintConfig:
-    """Build the effective config, merging ``[tool.repro-lint]``.
-
-    Missing file, missing table, or a pre-3.11 interpreter all fall
-    back to the built-in defaults (which the committed pyproject block
-    mirrors, so behaviour only drifts if someone edits one of the two —
-    ``tests/analyze`` pins them together).
-    """
-    config = LintConfig()
-    if pyproject is None:
-        pyproject = Path("pyproject.toml")
-    if tomllib is None or not pyproject.is_file():
-        return config
-    try:
-        with open(pyproject, "rb") as handle:
-            data = tomllib.load(handle)
-    except (OSError, tomllib.TOMLDecodeError):
-        return config
-    table = data.get("tool", {}).get("repro-lint")
-    if not isinstance(table, dict):
-        return config
-    return merge_table(config, table)
-
-
-def merge_table(config: LintConfig, table: Dict[str, object]) -> LintConfig:
-    """Overlay one pyproject table onto ``config`` (shared with tests)."""
-    def str_list(key: str) -> Optional[List[str]]:
-        value = table.get(key)
-        if isinstance(value, list):
-            return [str(item) for item in value]
-        return None
-
-    for key, attr in (("select", "select"), ("ignore", "ignore"),
-                      ("paths", "paths"),
-                      ("counter-mutators", "counter_mutators"),
-                      ("engine-functions", "engine_functions"),
-                      ("crosscutting", "crosscutting"), ("hot", "hot"),
-                      ("test-paths", "test_paths"),
-                      ("test-select", "test_select"),
-                      ("exclude", "exclude")):
-        value = str_list(key)
-        if value is not None:
-            setattr(config, attr, value)
-    baseline = table.get("baseline")
-    if isinstance(baseline, str):
-        config.baseline = baseline
-    layers = table.get("layers")
-    if isinstance(layers, dict):
-        config.layers = {str(k): int(v) for k, v in layers.items()}
-    counters = table.get("counters")
-    if isinstance(counters, dict):
-        config.counters = {str(k): [str(c) for c in v]
-                           for k, v in counters.items()
-                           if isinstance(v, list)}
-    hooks = table.get("hook-sites")
-    if isinstance(hooks, list):
-        parsed = []
-        for entry in hooks:
-            if (isinstance(entry, dict) and "module" in entry
-                    and "qualname" in entry):
-                kinds = entry.get("hooks", ["faults", "sanitize"])
-                parsed.append((str(entry["module"]), str(entry["qualname"]),
-                               tuple(str(k) for k in kinds)))
-        config.hook_sites = parsed
-    return config

@@ -4,6 +4,9 @@ One parse per file: the :class:`Analyzer` parses each module once and
 walks the tree once, dispatching every node to each registered checker
 that declared interest in its type.  Checkers therefore share nodes —
 adding a checker costs its visit functions, not another parse or walk.
+Every run walks every collected file; :meth:`Analyzer.run` then hands
+the whole-program index (:mod:`repro.analyze.graph`) to each checker's
+``finish_project`` once.
 
 The walker maintains the scope context checkers keep needing: the
 enclosing class/function stack (for qualified names), the module's
@@ -160,8 +163,8 @@ class ScopeContext:
 
     module: ModuleUnderAnalysis
     config: LintConfig
-    #: Project-wide symbol table + call graph (second pass); ``None``
-    #: in single-file mode (``Analyzer.run_file``).
+    #: Project-wide symbol table (second pass); ``None`` in
+    #: single-file mode (``Analyzer.run_file``).
     project: Optional["ProjectContext"] = None
     class_stack: List[str] = field(default_factory=list)
     func_stack: List[str] = field(default_factory=list)
@@ -372,9 +375,6 @@ class AnalysisReport:
     #: Module names parsed into the project index this run — the scope
     #: within which baseline entries can be judged stale.
     scanned_modules: List[str] = field(default_factory=list)
-    #: In focus (``--changed``) mode: how many files were actually
-    #: walked after the reverse-importer closure; ``None`` otherwise.
-    files_walked: Optional[int] = None
 
     def sorted(self) -> List[Finding]:
         return sorted(self.findings,
@@ -411,12 +411,8 @@ class Analyzer:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def run(self, paths: Iterable[Path],
-            focus: Optional[Iterable[Path]] = None) -> AnalysisReport:
-        """Analyze ``paths``; with ``focus``, walk only the focus files
-        plus their reverse importers (parse everything regardless, so
-        the project index and call graph stay whole-program).
-        """
+    def run(self, paths: Iterable[Path]) -> AnalysisReport:
+        """Analyze ``paths``: walk every file, then the project pass."""
         findings: List[Finding] = []
         files = self.collect(paths)
         modules: List[ModuleUnderAnalysis] = []
@@ -429,27 +425,15 @@ class Analyzer:
         # Imported lazily: graph.py imports from this module.
         from repro.analyze.graph import build_project
         project = build_project(modules, self.config)
-        focus_names: Optional[set] = None
-        if focus is not None:
-            seeds = {module_name_for(Path(p)) for p in focus}
-            focus_names = project.index.reverse_importers(seeds)
-        walked = 0
         for module in modules:
-            if focus_names is not None and module.name not in focus_names:
-                continue
-            walked += 1
             findings.extend(self._walker.run(module, project))
         for checker in self.checkers:
             found = checker.finish_project(project)
             if found:
                 findings.extend(found)
-        if focus_names is not None:
-            findings = [f for f in findings
-                        if f.key.split("::", 2)[1] in focus_names]
         return AnalysisReport(
             findings=findings, files_scanned=len(files),
-            scanned_modules=[m.name for m in modules],
-            files_walked=walked if focus_names is not None else None)
+            scanned_modules=[m.name for m in modules])
 
     def run_file(self, path: Path) -> List[Finding]:
         """Single-file mode: per-file checkers only, no project pass."""

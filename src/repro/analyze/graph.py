@@ -2,21 +2,19 @@
 
 The per-file engine (:mod:`repro.analyze.engine`) parses each module
 once; this module performs the *second pass* over those same ASTs to
-build a :class:`ProjectIndex`: module-qualified function defs, class
-definitions, and the import edges between project modules.  The
-counter-discipline checks (C002, C003) read it in ``finish_project``,
-and ``repro lint --changed`` widens its focus through
-:meth:`ProjectIndex.reverse_importers`.
+build a :class:`ProjectIndex`: module-qualified function and class
+definitions.  The counter-discipline checks (C002, C003) read it in
+``finish_project``.
 
 Identifiers use the ``module::qualname`` form already used by the
-policy config (``counter-mutators``, ``engine-functions``).
+policy config (``counter_mutators``).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, List, Sequence
 
 from repro.analyze.config import LintConfig
 from repro.analyze.engine import ModuleUnderAnalysis
@@ -53,9 +51,6 @@ class ModuleSymbols:
     module: ModuleUnderAnalysis
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: Project modules this module imports (exact names, unfiltered —
-    #: callers intersect with the index).
-    imports: Set[str] = field(default_factory=set)
 
 
 class ProjectIndex:
@@ -65,24 +60,6 @@ class ProjectIndex:
         self.modules: Dict[str, ModuleSymbols] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-
-    # -- incremental-lint support --------------------------------------
-    def reverse_importers(self, seeds: Iterable[str]) -> Set[str]:
-        """Transitive closure of modules importing any seed module."""
-        importers: Dict[str, Set[str]] = {}
-        for name, symbols in self.modules.items():
-            for imported in symbols.imports:
-                if imported in self.modules:
-                    importers.setdefault(imported, set()).add(name)
-        closure: Set[str] = set()
-        queue = [s for s in seeds if s in self.modules]
-        while queue:
-            current = queue.pop()
-            if current in closure:
-                continue
-            closure.add(current)
-            queue.extend(importers.get(current, ()))
-        return closure
 
 
 @dataclass
@@ -104,22 +81,6 @@ def _prefill_aliases(module: ModuleUnderAnalysis) -> None:
     for node in ast.walk(module.tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             module.record_import(node)
-
-
-def _collect_imports(module: ModuleUnderAnalysis) -> Set[str]:
-    imports: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imports.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = module.resolve_import_from(node)
-            if base:
-                imports.add(base)
-                for alias in node.names:
-                    # "from repro import machine" imports a module too.
-                    imports.add(f"{base}.{alias.name}")
-    return imports
 
 
 def _extract_symbols(symbols: ModuleSymbols) -> None:
@@ -154,15 +115,13 @@ def _extract_symbols(symbols: ModuleSymbols) -> None:
 
 def build_project(modules: Sequence[ModuleUnderAnalysis],
                   config: LintConfig) -> ProjectContext:
-    """Index every module's symbols and imports."""
+    """Index every module's function and class definitions."""
     index = ProjectIndex()
     for module in modules:
         _prefill_aliases(module)
         symbols = ModuleSymbols(
             name=module.name, path=str(module.path),
-            display_path=module.display_path, module=module,
-            imports=_collect_imports(module),
-        )
+            display_path=module.display_path, module=module)
         _extract_symbols(symbols)
         # Last-write-wins on duplicate module names (mirrored fixture
         # trees): deterministic because collect() sorts paths.

@@ -39,6 +39,7 @@ from repro.observability import (
     to_chrome_trace,
     to_folded,
 )
+from repro.observability.report import WHOLE_RUN_COUNTERS
 from repro.workloads.registry import ALL_BENCHMARKS, benchmarks_in_suite
 
 
@@ -207,23 +208,19 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="run the project's static-analysis checkers "
                      "(layering, determinism, counter-discipline, "
-                     "hook-coverage, race-pattern, span-balance)")
+                     "hook-coverage, span-balance)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to scan (default: "
-                           "the [tool.repro-lint] paths, i.e. src/repro)")
+                           "src/repro, plus tests/ and benchmarks/ for "
+                           "the D-rules)")
     lint.add_argument("--json", action="store_true",
                       help="emit a machine-readable report instead of text")
-    lint.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                      metavar="REF",
-                      help="incremental mode: lint only files changed vs "
-                           "REF (default HEAD) plus their reverse "
-                           "importers via the project call graph")
     lint.add_argument("--check-stale", action="store_true",
                       help="also fail (exit 1) when the baseline holds "
                            "stale entries for scanned modules")
     lint.add_argument("--baseline", default=None, metavar="PATH",
                       help="baseline file of justified suppressions "
-                           "(default: from [tool.repro-lint]; 'none' "
+                           "(default: lint-baseline.json; 'none' "
                            "disables)")
     lint.add_argument("--write-baseline", action="store_true",
                       help="rewrite the baseline to suppress all current "
@@ -573,6 +570,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print()
     simulated = result_metrics(result)
     print(simulated.render_table(title="Metrics registry:"))
+    print(f"Whole run (warm-up, measured iteration, teardown): "
+          f"{', '.join(WHOLE_RUN_COUNTERS)}; every other counter: "
+          f"measured iteration only.")
     print()
     # Leave out the kernel counters platform.run also bridges into
     # METRICS for the end-to-end benchmark: the table above has them.
@@ -581,55 +581,36 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _git_changed_files(ref: str) -> Optional[List[str]]:
-    """``.py`` files changed vs ``ref`` plus untracked ones; ``None``
-    when git cannot answer (not a repo, bad ref)."""
-    import subprocess
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True, text=True, check=True)
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    names = diff.stdout.splitlines() + untracked.stdout.splitlines()
-    return sorted({n for n in names if n.endswith(".py")})
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analyze import (Analyzer, Baseline, BaselineError,
-                               TODO_REASON, filter_findings, load_config,
-                               make_checkers, rule_table)
+                               TODO_REASON, filter_findings, make_checkers,
+                               rule_table)
+    from repro.analyze.config import (BASELINE, EXCLUDE, PATHS, TEST_PATHS,
+                                      TEST_SELECT)
 
     if args.explain:
         for rule, (checker, description) in sorted(rule_table().items()):
             print(f"{rule}  [{checker}] {description}")
         return 0
 
-    config = load_config()
-    paths = [Path(p) for p in (args.paths or config.paths)]
+    paths = [Path(p) for p in (args.paths or PATHS)]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(f"error: no such path: {', '.join(map(str, missing))}",
               file=sys.stderr)
         return 2
 
-    def split(values: Optional[List[str]],
-              fallback: List[str]) -> List[str]:
-        if values is None:
-            return fallback
+    def split(values: Optional[List[str]]) -> List[str]:
         flat: List[str] = []
-        for value in values:
+        for value in values or ():
             flat.extend(part.strip() for part in value.split(",")
                         if part.strip())
         return flat
 
-    select = split(args.select, config.select)
-    ignore = split(args.ignore, config.ignore)
+    select = split(args.select)
+    ignore = split(args.ignore)
     table = rule_table()
     known = sorted(table) + sorted({checker for checker, _ in table.values()})
     for flag, names in (("--select", select), ("--ignore", ignore)):
@@ -639,51 +620,31 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                   f"choose from {', '.join(known)}", file=sys.stderr)
             return 2
 
-    focus: Optional[List[Path]] = None
-    if args.changed is not None:
-        if args.write_baseline:
-            print("error: --write-baseline needs a full scan, not "
-                  "--changed", file=sys.stderr)
-            return 2
-        changed = _git_changed_files(args.changed)
-        if changed is None:
-            print(f"error: git could not diff against "
-                  f"'{args.changed}'", file=sys.stderr)
-            return 2
-        if not changed:
-            print(f"0 files changed vs {args.changed}; nothing to lint")
-            return 0
-        focus = [Path(name) for name in changed]
-
-    analyzer = Analyzer(make_checkers(), config=config)
-    report = analyzer.run(paths, focus=focus)
+    report = Analyzer(make_checkers()).run(paths)
     findings = filter_findings(report.sorted(), select, ignore)
     files_scanned = report.files_scanned
     scanned_modules = set(report.scanned_modules)
 
     # Test trees get the restricted rule set (D-rules by default) in a
     # separate project scope, minus the planted lint fixtures.  Only on
-    # full default-path runs: explicit paths and --changed mean the
-    # caller picked the scope.
-    if not args.paths and focus is None and config.test_paths:
-        test_roots = [Path(p) for p in config.test_paths if Path(p).is_dir()]
+    # default-path runs: explicit paths mean the caller picked the scope.
+    if not args.paths:
+        test_roots = [Path(p) for p in TEST_PATHS if Path(p).is_dir()]
         test_files = [
             f for f in Analyzer.collect(test_roots)
-            if not any(f.as_posix().startswith(prefix.rstrip("/") + "/")
-                       or f.as_posix() == prefix.rstrip("/")
-                       for prefix in config.exclude)]
+            if not any(f.as_posix() == prefix
+                       or f.as_posix().startswith(prefix + "/")
+                       for prefix in EXCLUDE)]
         if test_files:
-            aux_report = Analyzer(make_checkers(),
-                                  config=config).run(test_files)
-            aux = filter_findings(aux_report.sorted(),
-                                  config.test_select, [])
+            aux_report = Analyzer(make_checkers()).run(test_files)
+            aux = filter_findings(aux_report.sorted(), TEST_SELECT, [])
             findings = findings + filter_findings(aux, select, ignore)
             files_scanned += aux_report.files_scanned
             scanned_modules.update(aux_report.scanned_modules)
 
     baseline_path: Optional[Path] = None
     if args.baseline != "none":
-        baseline_path = Path(args.baseline or config.baseline)
+        baseline_path = Path(args.baseline or BASELINE)
 
     if args.write_baseline:
         if baseline_path is None:
@@ -726,20 +687,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
     unsuppressed, suppressed, stale = baseline.apply(findings)
     # A baseline key can only be judged stale if its module was in
-    # scope this run; --changed walks a focus subset, so staleness is
-    # undecidable there and skipped entirely.
-    if focus is not None:
-        stale = []
-    else:
-        stale = [key for key in stale
-                 if key.split("::", 2)[1] in scanned_modules]
+    # scope this run.
+    stale = [key for key in stale
+             if key.split("::", 2)[1] in scanned_modules]
     failed = bool(unsuppressed) or (args.check_stale and bool(stale))
 
     if args.json:
         print(json.dumps({
             "tool": "repro-lint",
             "files_scanned": files_scanned,
-            "files_walked": report.files_walked,
             "findings": [f.to_dict() for f in unsuppressed],
             "suppressed": [f.to_dict() for f in suppressed],
             "stale_baseline_keys": stale,
@@ -758,16 +714,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.check_stale:
             print("(--check-stale: failing on stale baseline entries; "
                   "run --write-baseline to prune)")
-    if focus is not None:
-        summary = (f"{report.files_walked} of {files_scanned} files "
-                   f"walked (--changed {args.changed}), "
-                   f"{len(unsuppressed)} finding(s), "
-                   f"{len(suppressed)} baselined")
-    else:
-        summary = (f"{files_scanned} files scanned, "
-                   f"{len(unsuppressed)} finding(s), "
-                   f"{len(suppressed)} baselined")
-    print(summary)
+    print(f"{files_scanned} files scanned, "
+          f"{len(unsuppressed)} finding(s), "
+          f"{len(suppressed)} baselined")
     return 1 if failed else 0
 
 

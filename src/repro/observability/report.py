@@ -22,6 +22,13 @@ REPORT_SCHEMA = "repro.run_report/v1"
 #: Schema tag for :func:`sweep_report` payloads.
 SWEEP_REPORT_SCHEMA = "repro.sweep_report/v1"
 
+#: The :func:`result_metrics` names that count the whole run (warm-up,
+#: measured iteration and teardown); every other name counts the
+#: measured iteration only.
+WHOLE_RUN_COUNTERS = tuple(f"kernel.{name}" for name in (
+    "mmap_calls", "munmap_calls", "retag_calls", "pages_mapped",
+    "pages_unmapped", "page_faults"))
+
 
 def _stats_dict(stats) -> Dict[str, object]:
     """Serialise one instance's RuntimeStats."""
@@ -45,12 +52,16 @@ def _stats_dict(stats) -> Dict[str, object]:
 def result_metrics(result) -> MetricsRegistry:
     """A private registry naming one result's simulated counters.
 
-    ``machine.socketN.llc.*`` and ``machine.socketN.mem.*`` (measured
-    iteration), ``machine.qpi.crossings``, ``kernel.*`` (the result's
-    ``kernel_counters`` and its measured-iteration migration counts)
-    and ``gc.<collector>.*`` summed over instances, with one
-    ``pause_cycles`` observation per pause.  ``repro stats`` renders
-    it and ``repro run --json`` reports it.
+    ``machine.socketN.llc.*``, ``machine.socketN.mem.*``,
+    ``machine.qpi.crossings``, ``kernel.*`` (the result's
+    ``kernel_counters`` and its migration counts) and
+    ``gc.<collector>.*`` summed over instances, with one
+    ``pause_cycles`` observation per pause.  Every counter covers the
+    measured iteration only, except the :data:`WHOLE_RUN_COUNTERS`
+    (``kernel.mmap_calls``, ``munmap_calls``, ``retag_calls``,
+    ``pages_mapped``, ``pages_unmapped`` and ``page_faults``), which
+    cover warm-up, the measured iteration and teardown.  ``repro
+    stats`` renders it and ``repro run --json`` reports it.
     """
     registry = MetricsRegistry()
     for llc in result.llc_stats:

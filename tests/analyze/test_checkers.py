@@ -71,13 +71,6 @@ class TestPlantedViolations:
         kinds = {f.key.rsplit(":", 1)[-1] for f in findings}
         assert kinds == {"faults", "sanitize"}
 
-    def test_rc01_foreign_private_write(self, planted_findings):
-        finding = _single(planted_findings, "RC01")
-        assert finding.path.endswith("repro/machine/races_bad.py")
-        assert finding.line == 6
-        assert "_sets" in finding.message
-        assert finding.symbol == "Thief.poke"
-
     def test_s001_unbalanced_span(self, planted_findings):
         finding = _single(planted_findings, "S001")
         assert finding.path.endswith("repro/harness/spans_bad.py")
@@ -104,7 +97,7 @@ class TestPlantedViolations:
     def test_no_unexpected_rules(self, planted_findings):
         assert set(planted_findings) == {
             "L001", "L002", "D001", "D002", "D003", "D004",
-            "C001", "C002", "H001", "RC01", "S001", "S002",
+            "C001", "C002", "H001", "S001", "S002",
         }
 
 
@@ -121,14 +114,6 @@ class TestPolicyKnobs:
             "repro.kernel.counters_bad::bump")
         findings = by_rule(run_lint(PLANTED, config=config))
         assert "C001" not in findings
-
-    def test_engine_function_is_exempt(self):
-        from repro.analyze import LintConfig
-        config = LintConfig()
-        config.engine_functions.append(
-            "repro.machine.races_bad::Thief.poke")
-        findings = by_rule(run_lint(PLANTED, config=config))
-        assert "RC01" not in findings
 
     def test_hook_site_removal_silences_h001(self):
         from repro.analyze import LintConfig

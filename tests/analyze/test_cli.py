@@ -17,7 +17,7 @@ class TestExitCodes:
     def test_findings_exit_one(self, capsys):
         assert main(["lint", str(PLANTED), "--baseline", "none"]) == 1
         out = capsys.readouterr().out
-        assert "C001" in out and "RC01" in out
+        assert "C001" in out and "S001" in out
 
     def test_missing_path_exits_two(self, capsys):
         assert main(["lint", "no/such/dir"]) == 2
@@ -33,7 +33,7 @@ class TestJsonOutput:
         assert report["exit"] == 1
         assert report["files_scanned"] >= 5
         rules = {f["rule"] for f in report["findings"]}
-        assert {"L001", "D001", "C001", "H001", "RC01"} <= rules
+        assert {"L001", "D001", "C001", "H001", "S001"} <= rules
         first = report["findings"][0]
         assert {"rule", "path", "line", "col", "message", "key",
                 "symbol"} <= set(first)
@@ -168,57 +168,11 @@ class TestStaleBaseline:
         assert "--check-stale" in out and "--write-baseline" in out
 
 
-class TestChangedMode:
-    """--changed REF lints only changed modules + reverse importers."""
-
-    def _patch_changed(self, monkeypatch, result):
-        import repro.cli
-        monkeypatch.setattr(repro.cli, "_git_changed_files",
-                            lambda ref: result)
-
-    def test_focus_walks_a_subset(self, monkeypatch, capsys):
-        self._patch_changed(monkeypatch,
-                            ["src/repro/machine/cache.py"])
-        code = main(["lint", "--changed", "HEAD", "--json"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert report["files_walked"] is not None
-        assert 1 <= report["files_walked"] < report["files_scanned"]
-
-    def test_focus_filters_findings_to_closure(self, monkeypatch, capsys):
-        # Changing one planted fixture must not surface findings from
-        # the other planted modules.
-        self._patch_changed(
-            monkeypatch,
-            ["tests/analyze/fixtures/planted/repro/harness/spans_bad.py"])
-        main(["lint", str(PLANTED), "--changed", "HEAD",
-              "--baseline", "none", "--json"])
-        report = json.loads(capsys.readouterr().out)
-        rules = {f["rule"] for f in report["findings"]}
-        assert rules == {"S001", "S002"}
-        assert report["files_walked"] == 1
-
-    def test_no_changes_short_circuits(self, monkeypatch, capsys):
-        self._patch_changed(monkeypatch, [])
-        assert main(["lint", "--changed", "HEAD"]) == 0
-        assert "0 files changed" in capsys.readouterr().out
-
-    def test_git_failure_exits_two(self, monkeypatch, capsys):
-        self._patch_changed(monkeypatch, None)
-        assert main(["lint", "--changed", "nosuchref"]) == 2
-        assert "git could not diff" in capsys.readouterr().err
-
-    def test_changed_rejects_write_baseline(self, tmp_path, capsys):
-        assert main(["lint", "--changed", "HEAD", "--write-baseline",
-                     "--baseline", str(tmp_path / "b.json")]) == 2
-        assert "full scan" in capsys.readouterr().err
-
-
 class TestExplain:
     def test_rule_table_printed(self, capsys):
         assert main(["lint", "--explain"]) == 0
         out = capsys.readouterr().out
         for rule in ("L001", "L002", "D001", "D002", "D003", "D004",
-                     "C001", "C002", "C003", "H001", "RC01",
+                     "C001", "C002", "C003", "H001",
                      "S001", "S002"):
             assert rule in out

@@ -54,15 +54,6 @@ BETA = """\
             self.turns += 1
     """
 
-GAMMA = """\
-    import repro.kernel.alpha
-    """
-
-DELTA = """\
-    def standalone():
-        pass
-    """
-
 
 def make_module(relpath: str, source: str) -> ModuleUnderAnalysis:
     tree = ast.parse(textwrap.dedent(source))
@@ -73,8 +64,6 @@ def make_project():
     modules = [
         make_module("src/repro/kernel/alpha.py", ALPHA),
         make_module("src/repro/kernel/beta.py", BETA),
-        make_module("src/repro/harness/gamma.py", GAMMA),
-        make_module("src/repro/harness/delta.py", DELTA),
     ]
     return build_project(modules, LintConfig())
 
@@ -93,20 +82,3 @@ class TestProjectIndex:
             "repro.kernel.alpha::Kernel.run.inner"]
         assert inner.qualname == "Kernel.run.inner"
         assert "repro.kernel.alpha::Kernel" in project.index.classes
-
-
-class TestReverseImporters:
-    def test_closure_follows_import_chain(self):
-        project = make_project()
-        closure = project.index.reverse_importers(["repro.kernel.beta"])
-        assert closure == {"repro.kernel.beta", "repro.kernel.alpha",
-                           "repro.harness.gamma"}
-
-    def test_leaf_module_closes_over_itself(self):
-        project = make_project()
-        assert project.index.reverse_importers(["repro.harness.delta"]) \
-            == {"repro.harness.delta"}
-
-    def test_unknown_seed_is_ignored(self):
-        project = make_project()
-        assert project.index.reverse_importers(["repro.nowhere"]) == set()

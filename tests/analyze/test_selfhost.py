@@ -1,20 +1,24 @@
 """The linter self-hosted over src/repro: clean, pinned, and fast."""
 
+import json
 import time
 
 from tests.analyze.conftest import REPO_ROOT
-from repro.analyze import (Analyzer, Baseline, LintConfig, load_config,
-                           make_checkers)
+from repro.analyze import Analyzer, Baseline, LintConfig, make_checkers
+from repro.analyze.config import BASELINE
+from repro.cli import main
 
 SRC = REPO_ROOT / "src" / "repro"
 
 
 def _self_host():
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    analyzer = Analyzer(make_checkers(), config=config)
-    report = analyzer.run([SRC])
-    baseline = Baseline.load(REPO_ROOT / config.baseline)
+    report = Analyzer(make_checkers()).run([SRC])
+    baseline = Baseline.load(REPO_ROOT / BASELINE)
     return report, baseline
+
+
+def _python_files(root):
+    return [p for p in root.rglob("*.py") if "__pycache__" not in p.parts]
 
 
 class TestSelfHost:
@@ -40,36 +44,30 @@ class TestSelfHost:
 
     def test_scans_every_python_file_once(self):
         report, _ = _self_host()
-        expected = len([p for p in SRC.rglob("*.py")
-                        if "__pycache__" not in p.parts])
-        assert report.files_scanned == expected
+        assert report.files_scanned == len(_python_files(SRC))
+
+
+class TestDefaultCliRun:
+    """``repro lint --check-stale`` from the repo root, as CI runs it."""
+
+    def test_default_run_is_clean_and_covers_test_trees(
+            self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        code = main(["lint", "--check-stale", "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["findings"] == []
+        assert report["stale_baseline_keys"] == []
+        fixtures = REPO_ROOT / "tests" / "analyze" / "fixtures"
+        test_files = [p for root in ("tests", "benchmarks")
+                      for p in _python_files(REPO_ROOT / root)
+                      if fixtures not in p.parents]
+        assert report["files_scanned"] \
+            == len(_python_files(SRC)) + len(test_files)
 
 
 class TestPolicyPin:
-    """The committed pyproject block must equal the built-in defaults.
-
-    ``load_config`` falls back to the built-ins on pre-3.11 interpreters
-    (no tomllib), so if the two drift the effective policy would depend
-    on the Python version running the linter.
-    """
-
-    def test_pyproject_policy_matches_builtin_defaults(self):
-        loaded = load_config(REPO_ROOT / "pyproject.toml")
-        default = LintConfig()
-        assert loaded.layers == default.layers
-        assert list(loaded.crosscutting) == list(default.crosscutting)
-        assert list(loaded.hot) == list(default.hot)
-        assert loaded.counters == default.counters
-        assert list(loaded.counter_mutators) \
-            == list(default.counter_mutators)
-        assert list(loaded.engine_functions) \
-            == list(default.engine_functions)
-        assert loaded.hook_sites == default.hook_sites
-        assert loaded.paths == default.paths
-        assert loaded.baseline == default.baseline
-        assert list(loaded.test_paths) == list(default.test_paths)
-        assert list(loaded.test_select) == list(default.test_select)
-        assert list(loaded.exclude) == list(default.exclude)
+    """The built-in policy still names code that exists."""
 
     def test_hook_sites_name_real_functions(self):
         """Guard against config rot: every registered hook site must
@@ -78,8 +76,7 @@ class TestPolicyPin:
         """
         import ast
 
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        for module, qualname, _hooks in config.hook_sites:
+        for module, qualname, _hooks in LintConfig().hook_sites:
             relpath = module.replace(".", "/") + ".py"
             path = REPO_ROOT / "src" / relpath
             assert path.is_file(), f"hook site module missing: {module}"

@@ -228,6 +228,12 @@ class TestStats:
         assert "machine.socket0.llc.hits" in out
         assert "kernel.mmap_calls" in out
         assert "gc.kgn.minor_collections" in out
+        table, _ = out.split("Host events:")
+        whole_run = [line for line in table.splitlines()
+                     if line.startswith("Whole run")]
+        assert len(whole_run) == 1
+        assert "kernel.page_faults" in whole_run[0]
+        assert "kernel.scheduler.dispatches" not in whole_run[0]
 
 
 class TestStatsHostEvents:
@@ -237,7 +243,10 @@ class TestStatsHostEvents:
         counters, host = out.split("Host events:")
         assert "monitor.samples" in host
         assert "kernel.page_faults" in counters
-        assert out.count("kernel.page_faults") == 1
+        rows = [line for line in out.splitlines()
+                if line.startswith("kernel.page_faults ")]
+        assert len(rows) == 1
+        assert "kernel.page_faults" not in host
 
 
 class TestSanitize:
