@@ -1,8 +1,8 @@
 """repro.analyze: the static-analysis framework behind ``repro lint``.
 
-One AST parse per file, a shared walk, and five project-specific
-checkers (layering, determinism, counter-discipline, hook-coverage,
-span-balance) with a committed, justified baseline.  See
+One AST parse per file, a shared walk, and three project-specific
+checkers (layering, determinism, counter-discipline) with a committed,
+justified baseline.  See
 ``DESIGN.md`` ("Static analysis") for the policy and ``repro lint
 --explain`` for the rule table.
 """

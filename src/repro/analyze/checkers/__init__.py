@@ -14,16 +14,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 from repro.analyze.engine import Checker, Finding
 from repro.analyze.checkers.counters import CounterDisciplineChecker
 from repro.analyze.checkers.determinism import DeterminismChecker
-from repro.analyze.checkers.hooks import HookCoverageChecker
 from repro.analyze.checkers.layering import LayeringChecker
-from repro.analyze.checkers.spans import SpanBalanceChecker
 
 ALL_CHECKERS: Tuple[Type[Checker], ...] = (
     LayeringChecker,
     DeterminismChecker,
     CounterDisciplineChecker,
-    HookCoverageChecker,
-    SpanBalanceChecker,
 )
 
 

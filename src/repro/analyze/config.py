@@ -14,10 +14,8 @@ Policy pieces:
   class must come from a declared mutator (``C001``).
 * **counter_mutators** — ``module::Qual.name`` functions allowed to
   mutate foreign counters (the access path's fused loops).
-* **hook_sites** — state-mutating operations that must carry their
-  FAULTS / SANITIZE hook pair (``H001``).
 
-Those six are the :class:`LintConfig` fields checkers read and tests
+Those five are the :class:`LintConfig` fields checkers read and tests
 substitute.  What the CLI scans is fixed by module constants:
 :data:`PATHS` and :data:`BASELINE` (overridden by ``repro lint``'s
 positional ``PATH`` arguments and ``--baseline``), and the extra
@@ -105,30 +103,6 @@ DEFAULT_COUNTER_MUTATORS: Tuple[str, ...] = (
     "repro.kernel.process::SimThread.access",
 )
 
-#: State-mutating operations that must carry their hook pair.
-#: Each entry: (module, qualname, required hook kinds).
-DEFAULT_HOOK_SITES: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
-    ("repro.kernel.vm", "Kernel.mmap_bind", ("faults", "sanitize", "trace")),
-    ("repro.kernel.vm", "Kernel.munmap", ("faults", "sanitize")),
-    ("repro.kernel.vm", "Kernel.migrate_page",
-     ("faults", "sanitize", "trace")),
-    ("repro.kernel.vm", "Kernel.placement_tick", ("sanitize",)),
-    ("repro.kernel.vm", "Kernel.reclaim_process", ("faults", "sanitize")),
-    ("repro.runtime.heap", "HybridHeap.may_commit", ("faults",)),
-    ("repro.runtime.heap", "HybridHeap.note_chunk_acquired", ("sanitize",)),
-    ("repro.runtime.jvm", "JavaVM.minor_collect",
-     ("faults", "sanitize", "trace")),
-    ("repro.runtime.jvm", "JavaVM.full_collect",
-     ("faults", "sanitize", "trace")),
-    ("repro.machine.numa", "NumaMachine.flush_all",
-     ("faults", "sanitize", "trace")),
-    ("repro.core.collectors.base", "Collector.minor_collect", ("trace",)),
-    ("repro.core.collectors.base", "Collector.mark_and_sweep", ("trace",)),
-    ("repro.core.monitor", "WriteRateMonitor.sample", ("faults", "trace")),
-    ("repro.core.platform", "HybridMemoryPlatform.run",
-     ("sanitize", "trace")),
-)
-
 #: Trees ``repro lint`` scans when given no ``PATH`` argument.
 PATHS: Tuple[str, ...] = ("src/repro",)
 
@@ -161,9 +135,6 @@ class LintConfig:
                                  for k, v in DEFAULT_COUNTERS.items()})
     counter_mutators: List[str] = field(
         default_factory=lambda: list(DEFAULT_COUNTER_MUTATORS))
-    hook_sites: List[Tuple[str, str, Tuple[str, ...]]] = field(
-        default_factory=lambda: [(m, q, tuple(h))
-                                 for m, q, h in DEFAULT_HOOK_SITES])
 
     # ------------------------------------------------------------------
     # Lookup helpers

@@ -163,9 +163,6 @@ class ScopeContext:
 
     module: ModuleUnderAnalysis
     config: LintConfig
-    #: Project-wide symbol table (second pass); ``None`` in
-    #: single-file mode (``Analyzer.run_file``).
-    project: Optional["ProjectContext"] = None
     class_stack: List[str] = field(default_factory=list)
     func_stack: List[str] = field(default_factory=list)
     #: Names aliasing ``self`` or ``self.<attr>`` in the innermost
@@ -228,8 +225,8 @@ class Checker:
 
     The engine discovers interest by reflection — a checker that
     defines ``visit_Call`` sees every ``ast.Call`` in every module.
-    ``begin_module``/``finish_module`` bracket each file; findings are
-    returned from any of the three entry points (or ``None``).
+    Visit methods and :meth:`finish_project` return findings (or
+    ``None``).
     """
 
     #: Rule ids this checker can emit, mapped to one-line descriptions
@@ -237,12 +234,6 @@ class Checker:
     rules: Dict[str, str] = {}
     #: Short name used by ``--select``/``--ignore`` alongside rule ids.
     name = "checker"
-
-    def begin_module(self, ctx: ScopeContext) -> Optional[List[Finding]]:
-        return None
-
-    def finish_module(self, ctx: ScopeContext) -> Optional[List[Finding]]:
-        return None
 
     def finish_project(self, project: "ProjectContext"
                        ) -> Optional[List[Finding]]:
@@ -270,20 +261,10 @@ class _Walker:
                     self.dispatch.setdefault(attr[6:], []).append(
                         getattr(checker, attr))
 
-    def run(self, module: ModuleUnderAnalysis,
-            project: Optional["ProjectContext"] = None) -> List[Finding]:
-        ctx = ScopeContext(module=module, config=self.config,
-                           project=project)
+    def run(self, module: ModuleUnderAnalysis) -> List[Finding]:
+        ctx = ScopeContext(module=module, config=self.config)
         findings: List[Finding] = []
-        for checker in self.checkers:
-            found = checker.begin_module(ctx)
-            if found:
-                findings.extend(found)
         self._walk(module.tree, ctx, findings)
-        for checker in self.checkers:
-            found = checker.finish_module(ctx)
-            if found:
-                findings.extend(found)
         return findings
 
     def _dispatch(self, node: ast.AST, ctx: ScopeContext,
@@ -426,7 +407,7 @@ class Analyzer:
         from repro.analyze.graph import build_project
         project = build_project(modules, self.config)
         for module in modules:
-            findings.extend(self._walker.run(module, project))
+            findings.extend(self._walker.run(module))
         for checker in self.checkers:
             found = checker.finish_project(project)
             if found:

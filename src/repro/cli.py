@@ -207,8 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="run the project's static-analysis checkers "
-                     "(layering, determinism, counter-discipline, "
-                     "hook-coverage, span-balance)")
+                     "(layering, determinism, counter-discipline)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to scan (default: "
                            "src/repro, plus tests/ and benchmarks/ for "

@@ -1,10 +1,10 @@
-"""The linter self-hosted over src/repro: clean, pinned, and fast."""
+"""The linter self-hosted over src/repro: clean and fast."""
 
 import json
 import time
 
 from tests.analyze.conftest import REPO_ROOT
-from repro.analyze import Analyzer, Baseline, LintConfig, make_checkers
+from repro.analyze import Analyzer, Baseline, make_checkers
 from repro.analyze.config import BASELINE
 from repro.cli import main
 
@@ -64,29 +64,3 @@ class TestDefaultCliRun:
                       if fixtures not in p.parents]
         assert report["files_scanned"] \
             == len(_python_files(SRC)) + len(test_files)
-
-
-class TestPolicyPin:
-    """The built-in policy still names code that exists."""
-
-    def test_hook_sites_name_real_functions(self):
-        """Guard against config rot: every registered hook site must
-        still exist in the scanned tree (H001 skips absent functions,
-        so a renamed operation would otherwise silently lose coverage).
-        """
-        import ast
-
-        for module, qualname, _hooks in LintConfig().hook_sites:
-            relpath = module.replace(".", "/") + ".py"
-            path = REPO_ROOT / "src" / relpath
-            assert path.is_file(), f"hook site module missing: {module}"
-            tree = ast.parse(path.read_text())
-            names = set()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef):
-                    for item in node.body:
-                        if isinstance(item, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef)):
-                            names.add(f"{node.name}.{item.name}")
-            assert qualname in names, \
-                f"hook site {module}::{qualname} not found"

@@ -17,6 +17,7 @@ from repro.observability.metrics import METRICS
 from repro.observability.profile import PROFILER
 from repro.observability.trace import TRACER
 from repro.workloads.base import BenchmarkApp
+from tests.conftest import build_test_vm
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +99,33 @@ class TestFaultMidSpan:
         # faulted run left frames open, "run" would have a parent.
         (run_span,) = TRACER.spans("run")
         assert "parent" not in run_span
+
+    @pytest.mark.parametrize("collect, gc_span", [
+        ("minor_collect", "gc.minor"), ("full_collect", "gc.full"),
+    ])
+    def test_fault_mid_promotion_closes_the_collection_span(
+            self, collect, gc_span):
+        """A heap-commit fault raised while survivors are promoted must
+        close the promotion span *and* its collection span, with the
+        collector's attributes.  A collection frame left open is never
+        recorded, even when an outer pop later discards it."""
+        vm = build_test_vm("KG-N")
+        ctx = vm.mutator(seed=3)
+        for _ in range(8):
+            ctx.add_root(ctx.alloc(scalar_bytes=256))
+        plan = FaultPlan().add("runtime.heap.commit")
+        TRACER.enable()
+        try:
+            with FAULTS.installed(plan), pytest.raises(FaultError):
+                getattr(vm, collect)()
+        finally:
+            TRACER.disable()
+        assert TRACER.depth() == 0
+        (collection,) = TRACER.spans(gc_span)
+        (promote,) = TRACER.spans("gc.promote")
+        assert promote["parent"] == collection["id"]
+        assert collection["dur"] >= 0 and promote["dur"] >= 0
+        assert collection["attrs"]["collector"] == "KG-N"
 
     def test_oom_mid_mutator_unwinds(self):
         from repro.runtime.heap import OutOfMemoryError

@@ -50,6 +50,8 @@ class TestKernelCounters:
         kernel.mmap_bind(process, 0x10000, 2 * PAGE_SIZE, node_id=0)
         assert kernel.mmap_calls == 1
         assert kernel.pages_mapped == 2
+        kernel.retag_range(process, 0x10000, 2 * PAGE_SIZE, "mature.pcm")
+        assert kernel.retag_calls == 1
         kernel.munmap(process, 0x10000, PAGE_SIZE)
         assert kernel.munmap_calls == 1
         assert kernel.pages_unmapped == 1
